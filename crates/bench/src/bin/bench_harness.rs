@@ -4,10 +4,10 @@
 //! Two batches:
 //!
 //! * **simulation** — ≥ 16 independent car-following cells
-//!   (scheme × seed), the exact shape `fig15_hardware` and
-//!   `compare_car_following_seeded` fan out. CPU-bound, so the speedup
-//!   tracks the host's core count (a 1-core container measures ~1×; a
-//!   4-core host ≥ 2× — the acceptance shape for this batch).
+//!   (scheme × seed), the exact shape `fig15_hardware` fans out.
+//!   CPU-bound, so the speedup tracks the host's core count (a 1-core
+//!   container measures ~1×; a 4-core host ≥ 2× — the acceptance shape
+//!   for this batch).
 //! * **latency** — the same batch size sleeping instead of simulating,
 //!   isolating the pool's concurrency from the host's core budget.
 //!
@@ -143,7 +143,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let _ = writeln!(
         json,
-        "  \"methodology\": {{\n    \"batch\": \"{} independent car-following cells (5 schemes x {} seeds), CarFollowingConfig::hardware, record_series=false — the fig15/compare_*_seeded fan-out shape\",\n    \"parallel\": \"hcperf_harness::run_batch, {workers} workers, results asserted bit-identical to the sequential loop before timing is trusted\",\n    \"latency_control\": \"same batch size, each job sleeps 50 ms, 8 workers — isolates pool concurrency from the host core budget\",\n    \"host_available_parallelism\": {},\n    \"command\": \"cargo run --release -p hcperf-bench --bin bench_harness\"\n  }},",
+        "  \"methodology\": {{\n    \"batch\": \"{} independent car-following cells (5 schemes x {} seeds), CarFollowingConfig::hardware, record_series=false — the fig15 fan-out shape\",\n    \"parallel\": \"hcperf_harness::run_batch, {workers} workers, results asserted bit-identical to the sequential loop before timing is trusted\",\n    \"latency_control\": \"same batch size, each job sleeps 50 ms, 8 workers — isolates pool concurrency from the host core budget\",\n    \"host_available_parallelism\": {},\n    \"command\": \"cargo run --release -p hcperf-bench --bin bench_harness\"\n  }},",
         jobs.len(),
         SEEDS.len(),
         available_workers()

@@ -1,8 +1,8 @@
 //! Hand-rolled argument parsing (no external parser dependency).
 //!
 //! Grammar: `hcperf <command> [--key value]...` — every option is a
-//! `--key value` pair; unknown keys and malformed values are errors with
-//! helpful messages.
+//! `--key value` pair, except `--help`/`-h`, which takes no value;
+//! unknown keys and malformed values are errors with helpful messages.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -14,6 +14,7 @@ use hcperf::Scheme;
 pub struct Args {
     command: String,
     options: BTreeMap<String, String>,
+    help: bool,
 }
 
 /// Parse failure with a user-facing message.
@@ -45,7 +46,12 @@ impl Args {
             .next()
             .ok_or_else(|| ParseError("missing command; try `hcperf help`".into()))?;
         let mut options = BTreeMap::new();
+        let mut help = false;
         while let Some(key) = iter.next() {
+            if key == "--help" || key == "-h" {
+                help = true;
+                continue;
+            }
             let Some(stripped) = key.strip_prefix("--") else {
                 return Err(ParseError(format!(
                     "expected an option like --key, got {key:?}"
@@ -56,7 +62,17 @@ impl Args {
                 .ok_or_else(|| ParseError(format!("option --{stripped} needs a value")))?;
             options.insert(stripped.to_owned(), value);
         }
-        Ok(Args { command, options })
+        Ok(Args {
+            command,
+            options,
+            help,
+        })
+    }
+
+    /// Whether `--help` or `-h` followed the command.
+    #[must_use]
+    pub fn wants_help(&self) -> bool {
+        self.help
     }
 
     /// The subcommand name.
@@ -186,6 +202,18 @@ mod tests {
     fn rejects_valueless_option() {
         let err = Args::parse(["run", "--scheme"]).unwrap_err();
         assert!(err.0.contains("needs a value"));
+    }
+
+    #[test]
+    fn help_flags_take_no_value() {
+        for flag in ["--help", "-h"] {
+            let args = Args::parse(["fleet", flag]).unwrap();
+            assert!(args.wants_help());
+            let args = Args::parse(["fleet", "--vehicles", "4", flag]).unwrap();
+            assert!(args.wants_help());
+            assert_eq!(args.get("vehicles"), Some("4"));
+        }
+        assert!(!Args::parse(["fleet"]).unwrap().wants_help());
     }
 
     #[test]

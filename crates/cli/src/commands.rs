@@ -173,6 +173,9 @@ COMMANDS
 /// Returns [`CliError`] on bad arguments, unknown commands, or scenario
 /// failures.
 pub fn dispatch(args: &Args) -> Result<String, CliError> {
+    if args.wants_help() {
+        return Ok(help());
+    }
     match args.command() {
         "run" => cmd_run(args),
         "sweep" => cmd_sweep(args),
@@ -396,16 +399,9 @@ fn cmd_fleet(args: &Args) -> Result<String, CliError> {
             "unknown preset {preset_name:?} (car-following | car-following-hw | lane-keeping)"
         )))
     })?;
-    let vehicles = args.get_usize("vehicles", 100)?;
-    let duration = args.get_f64("duration", 20.0)?;
-    if vehicles == 0 || duration <= 0.0 {
-        return Err(CliError::Args(ParseError(
-            "--vehicles and --duration must be positive".into(),
-        )));
-    }
-    let mut config = FleetConfig::new(preset, vehicles);
+    let mut config = FleetConfig::new(preset, args.get_usize("vehicles", 100)?);
     config.scheme = args.get_scheme("scheme", config.scheme)?;
-    config.duration = duration;
+    config.duration = args.get_f64("duration", config.duration)?;
     config.root_seed = args.get_u64("seed", config.root_seed)?;
     config.workers = args.get_usize("jobs", 0)?;
     config.queue_capacity = args.get_usize("queue", config.queue_capacity)?;

@@ -1,5 +1,4 @@
-//! Signal conditioning: low-pass filtering, rate limiting, windowed
-//! statistics.
+//! Signal conditioning: low-pass filtering and windowed statistics.
 //!
 //! Used by the vehicle substrate (sensor smoothing, actuator lag) and by the
 //! scenario metrics (RMS error, discomfort/jerk windows).
@@ -85,65 +84,6 @@ impl LowPass {
     pub fn reset(&mut self) {
         self.state = 0.0;
         self.initialized = false;
-    }
-}
-
-/// Limits the slew rate of a signal to `±max_rate` per second.
-///
-/// # Examples
-///
-/// ```
-/// use hcperf_control::RateLimiter;
-///
-/// let mut rl = RateLimiter::new(1.0);
-/// assert_eq!(rl.step(10.0, 0.5), 0.5); // can move at most 1.0/s
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateLimiter {
-    max_rate: f64,
-    state: f64,
-}
-
-impl RateLimiter {
-    /// Creates a limiter allowing `max_rate` units of change per second,
-    /// starting from zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rate` is not positive and finite.
-    #[must_use]
-    pub fn new(max_rate: f64) -> Self {
-        assert!(
-            max_rate.is_finite() && max_rate > 0.0,
-            "max_rate must be positive"
-        );
-        RateLimiter {
-            max_rate,
-            state: 0.0,
-        }
-    }
-
-    /// Creates a limiter starting from `initial`.
-    #[must_use]
-    pub fn with_initial(max_rate: f64, initial: f64) -> Self {
-        let mut rl = Self::new(max_rate);
-        rl.state = initial;
-        rl
-    }
-
-    /// Moves toward `target` over `dt` seconds, respecting the rate bound.
-    pub fn step(&mut self, target: f64, dt: f64) -> f64 {
-        assert!(dt > 0.0, "dt must be positive");
-        let max_delta = self.max_rate * dt;
-        let delta = (target - self.state).clamp(-max_delta, max_delta);
-        self.state += delta;
-        self.state
-    }
-
-    /// Returns the current output.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        self.state
     }
 }
 
@@ -309,23 +249,6 @@ mod tests {
         lp.reset();
         assert_eq!(lp.value(), 0.0);
         assert_eq!(lp.step(3.0, 0.1), 3.0);
-    }
-
-    #[test]
-    fn rate_limiter_caps_slew() {
-        let mut rl = RateLimiter::new(2.0);
-        assert_eq!(rl.step(10.0, 1.0), 2.0);
-        assert_eq!(rl.step(10.0, 1.0), 4.0);
-        assert_eq!(rl.step(-10.0, 1.0), 2.0);
-        // Small moves inside the bound pass through exactly.
-        assert_eq!(rl.step(2.5, 1.0), 2.5);
-    }
-
-    #[test]
-    fn rate_limiter_with_initial() {
-        let mut rl = RateLimiter::with_initial(1.0, 5.0);
-        assert_eq!(rl.value(), 5.0);
-        assert_eq!(rl.step(5.2, 1.0), 5.2);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`ModelFreeControl`] — Eq. 2–5: ultra-local model + feedback law.
 //! * [`Pid`] / [`Proportional`] — classical loops for rate adaptation and
 //!   vehicle actuation.
-//! * [`LowPass`], [`RateLimiter`], [`SlidingWindow`] — signal conditioning
+//! * [`LowPass`], [`SlidingWindow`] — signal conditioning
 //!   and windowed statistics (RMS errors, discomfort/jerk).
 //!
 //! # Examples
@@ -32,6 +32,6 @@ pub mod mfc;
 pub mod pid;
 
 pub use ade::{AdeConfigError, AlgebraicDifferentiator};
-pub use filter::{LowPass, RateLimiter, SlidingWindow};
+pub use filter::{LowPass, SlidingWindow};
 pub use mfc::{MfcConfig, MfcConfigError, ModelFreeControl};
 pub use pid::{Pid, PidConfig, Proportional};

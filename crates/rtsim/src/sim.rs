@@ -401,17 +401,6 @@ impl<S: Scheduler> Sim<S> {
         Ok(applied)
     }
 
-    /// Replaces the obstacle-load profile (e.g. when a scenario escalates).
-    pub fn set_load(&mut self, load: LoadProfile) {
-        self.config.load = load;
-    }
-
-    /// Current obstacle load.
-    #[must_use]
-    pub fn load_at(&self, t: SimTime) -> f64 {
-        self.config.load.at(t)
-    }
-
     /// Drains the control commands emitted since the last call.
     pub fn drain_commands(&mut self) -> Vec<ControlCommand> {
         std::mem::take(&mut self.commands)

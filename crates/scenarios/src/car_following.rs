@@ -13,16 +13,17 @@
 //!    control period: tracking error → `u(t)` → γ, and miss ratio →
 //!    adapted source rates.
 
-use hcperf::{CoordinatorConfig, DpsConfig, HcPerf, PeriodInput, Scheme};
+use hcperf::{CoordinatorConfig, DpsConfig, Scheme};
 use hcperf_faults::VehicleFaults;
-use hcperf_rtsim::{Sim, SimConfig};
+use hcperf_rtsim::SimConfig;
 use hcperf_taskgraph::graphs::{apollo_graph, with_fusion_step, GraphOptions};
-use hcperf_taskgraph::{GraphError, LoadProfile, Rate, SimTime, TaskId};
+use hcperf_taskgraph::{GraphError, LoadProfile, SimSpan, SimTime, TaskGraph};
 use hcperf_vehicle::{
     CarFollowController, FollowConfig, LeadProfile, LongitudinalCar, LongitudinalConfig,
     NoisySensor,
 };
 
+use crate::closed_loop::{sim_config, ClosedLoop, Delivery, InitialRates, LoopSpec};
 use crate::metrics::TimeSeries;
 
 /// Configuration of a car-following run.
@@ -214,6 +215,31 @@ impl CarFollowingConfig {
             faults: VehicleFaults::default(),
         }
     }
+
+    /// The task graph this configuration runs: the Fig. 11 graph (core
+    /// affinity only where the scheme uses it) with the optional fusion
+    /// regime step applied.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError`] if the graph options are invalid.
+    pub fn graph(&self) -> Result<TaskGraph, GraphError> {
+        let graph = apollo_graph(&GraphOptions {
+            jitter_frac: self.jitter_frac,
+            with_affinity: self.scheme.uses_affinity(),
+            processors: self.processors,
+        })?;
+        Ok(match self.fusion_step {
+            Some((extra_ms, from, until)) => with_fusion_step(
+                &graph,
+                "sensor_fusion",
+                extra_ms,
+                SimTime::from_secs(from),
+                SimTime::from_secs(until),
+            ),
+            None => graph,
+        })
+    }
 }
 
 /// Aggregates and time series of one car-following run.
@@ -306,6 +332,18 @@ pub enum ScenarioError {
     Job(String),
     /// Streaming results to an output sink failed (I/O).
     Sink(String),
+    /// A run parameter is non-finite, not positive, or inconsistent with
+    /// another (a control period shorter than the physics step).
+    InvalidParameter {
+        /// The parameter's name.
+        name: &'static str,
+        /// The rejected value.
+        value: f64,
+        /// What the parameter must be.
+        need: &'static str,
+    },
+    /// The task graph lacks a task the closed loop needs.
+    MissingTask(&'static str),
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -316,6 +354,10 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::Coordinator(e) => write!(f, "coordinator: {e}"),
             ScenarioError::Job(msg) => write!(f, "experiment job: {msg}"),
             ScenarioError::Sink(msg) => write!(f, "result sink: {msg}"),
+            ScenarioError::InvalidParameter { name, value, need } => {
+                write!(f, "invalid {name} {value}: need {need}")
+            }
+            ScenarioError::MissingTask(task) => write!(f, "task graph has no {task:?} task"),
         }
     }
 }
@@ -338,22 +380,42 @@ impl From<hcperf_control::MfcConfigError> for ScenarioError {
     }
 }
 
-/// One row of the sensing history buffer (what the pipeline "saw" at a
-/// given instant).
+/// What the car-following pipeline senses at one instant.
 #[derive(Debug, Clone, Copy)]
-struct Sensed {
-    t: f64,
-    lead_speed: f64,
-    own_speed: f64,
-    gap: f64,
+pub(crate) struct Sensed {
+    pub lead_speed: f64,
+    pub own_speed: f64,
+    pub gap: f64,
+}
+
+/// The car-following command computed from the data behind `delivery`.
+/// The lead acceleration is a finite difference over the sensed history
+/// (what the prediction module would output).
+pub(crate) fn follow_command(
+    controller: &mut CarFollowController,
+    delivery: &Delivery<'_, Sensed>,
+    physics_dt: f64,
+) -> f64 {
+    let (sensed_t, sensed) = delivery.sensed;
+    let (earlier_t, earlier) =
+        delivery.sensed_at(delivery.command.chain_released_at.as_secs() - 0.1);
+    let lead_accel =
+        (sensed.lead_speed - earlier.lead_speed) / (sensed_t - earlier_t).max(physics_dt);
+    controller.command(
+        sensed.lead_speed,
+        lead_accel,
+        sensed.own_speed,
+        sensed.gap,
+        delivery.since_last.max(physics_dt),
+    )
 }
 
 /// Runs a car-following scenario to completion.
 ///
 /// # Errors
 ///
-/// Returns [`ScenarioError`] if the graph, simulator or coordinator cannot
-/// be constructed.
+/// Returns [`ScenarioError`] if the timing is invalid or the graph,
+/// simulator or coordinator cannot be constructed.
 ///
 /// # Examples
 ///
@@ -383,64 +445,29 @@ pub fn run_car_following(config: &CarFollowingConfig) -> Result<CarFollowingResu
 pub fn run_car_following_with_telemetry(
     config: &CarFollowingConfig,
 ) -> Result<(CarFollowingResult, Option<DegradedTelemetry>), ScenarioError> {
-    let graph_opts = GraphOptions {
-        jitter_frac: config.jitter_frac,
-        with_affinity: config.scheme.uses_affinity(),
-        processors: config.processors,
-    };
-    let mut graph = apollo_graph(&graph_opts)?;
-    if let Some((extra_ms, from, until)) = config.fusion_step {
-        graph = with_fusion_step(
-            &graph,
-            "sensor_fusion",
-            extra_ms,
-            SimTime::from_secs(from),
-            SimTime::from_secs(until),
-        );
-    }
-    let fusion = graph.find("sensor_fusion").expect("fusion exists");
-
-    let scheduler = config.scheme.build(config.dps);
-    let sim_config = SimConfig {
-        processors: config.processors,
-        seed: config.seed,
-        load: config.load.clone(),
-        staleness_bound: Some(hcperf_taskgraph::SimSpan::from_millis(config.staleness_ms)),
-        release_jitter_frac: config.release_jitter_frac,
-        join_policy: hcperf_rtsim::JoinPolicy::SameCycle,
-        expire_queued_jobs: config.expire_queued_jobs,
-        ..Default::default()
-    };
-    let mut coordinator = if config.scheme.uses_coordinators() {
-        let mut cc = config.coordinator;
-        cc.period = hcperf_taskgraph::SimSpan::from_secs(config.control_period);
-        Some(HcPerf::new(cc, &graph)?)
-    } else {
-        None
-    };
-    let mut sim = Sim::new(graph, sim_config, scheduler)?;
-    for window in &config.faults.sim {
-        sim.inject_fault(*window)?;
-    }
-
-    // Initial source rates: fixed for baselines, fraction-of-range for
-    // HCPerf (then adapted by the TRA).
-    let initial: Vec<(TaskId, Rate)> = sim
-        .source_rates()
-        .iter()
-        .map(|&(task, rate)| {
-            let spec = sim.graph().spec(task);
-            let applied = match (config.scheme.uses_coordinators(), spec.rate_range()) {
-                (true, Some(range)) => range.lerp(config.hcperf_initial_rate_fraction),
-                (false, Some(range)) => range.clamp(Rate::from_hz(config.baseline_rate_hz)),
-                _ => rate,
-            };
-            (task, applied)
-        })
-        .collect();
-    for (task, rate) in initial {
-        sim.set_source_rate(task, rate)?;
-    }
+    let mut lp = ClosedLoop::new(LoopSpec {
+        scheme: config.scheme,
+        graph: config.graph()?,
+        sim: SimConfig {
+            staleness_bound: Some(SimSpan::from_millis(config.staleness_ms)),
+            release_jitter_frac: config.release_jitter_frac,
+            expire_queued_jobs: config.expire_queued_jobs,
+            ..sim_config(config.processors, config.seed, &config.load)
+        },
+        dps: config.dps,
+        coordinator: config.coordinator,
+        initial_rates: InitialRates::PerScheme {
+            baseline_hz: config.baseline_rate_hz,
+            fraction: config.hcperf_initial_rate_fraction,
+        },
+        duration: config.duration,
+        physics_dt: config.physics_dt,
+        control_period: config.control_period,
+        command_timeout: config.command_timeout,
+        faults: &config.faults,
+        record_mode: config.record_series,
+    })?;
+    let dt = config.physics_dt;
 
     let mut follower =
         LongitudinalCar::with_state(config.vehicle, -config.initial_gap, config.initial_speed);
@@ -473,100 +500,35 @@ pub fn run_car_following_with_telemetry(
         mean_source_rate: TimeSeries::new("mean_rate_hz"),
     };
 
-    let mut history: Vec<Sensed> =
-        Vec::with_capacity((config.duration / config.physics_dt) as usize + 2);
     let mut held_accel = 0.0f64;
-    let mut last_cmd_t = 0.0f64;
     let mut sq_speed = 0.0f64;
     let mut sq_dist = 0.0f64;
     let mut rms_count = 0u64;
     let mut final_window = (0u64, 0u64); // (missed, total) in the last 10 %
-    let mut pdc_hold_ticks = 0u64;
-    let mut tra_floor_ticks = 0u64;
-    let mut corrupted_feedback_ticks = 0u64;
-    let mut degraded_mode = TimeSeries::new("degraded_mode");
-
-    let steps = (config.duration / config.physics_dt).round() as usize;
-    let control_every = (config.control_period / config.physics_dt).round().max(1.0) as usize;
     let final_from = config.duration * 0.9;
 
-    for step in 0..steps {
-        let t = step as f64 * config.physics_dt;
-
-        // --- injected whole-vehicle crash: a deterministic panic the
-        // harness isolates and (with retries) re-runs under a new seed ---
-        if config.faults.crash_at.is_some_and(|tc| t >= tc) {
-            panic!("injected vehicle crash at t={t:.3}s");
-        }
-
-        // --- sensing: record what the pipeline sees at this instant.
-        // Under an injected sensor dropout the PDC is fed last-known-good
-        // input (a bounded-staleness hold): the history row is re-stamped
-        // rather than re-measured, so every command computed from this
-        // window actuates on stale data. ---
+    for (step, t) in lp.ticks() {
         let lead_speed_true = config.lead.speed_at(t);
         let gap_true = lead_position - follower.position();
-        let held = if config.faults.sensor_dropped_at(t) {
-            history.last().copied()
-        } else {
-            None
-        };
-        let pdc_hold = held.is_some();
-        let sensed_now = if let Some(held) = held {
-            pdc_hold_ticks += 1;
-            Sensed { t, ..held }
-        } else {
-            Sensed {
-                t,
-                lead_speed: lead_sensor.measure(lead_speed_true),
-                own_speed: own_sensor.measure(follower.speed()),
-                gap: gap_true,
-            }
-        };
-        history.push(sensed_now);
-
-        // --- scheduler: advance the task pipeline to `t` ---
-        sim.run_until(SimTime::from_secs(t));
-        for cmd in sim.drain_commands() {
-            // The command actuates now but was computed from data sensed at
-            // the chain's source release.
-            let sensed_t = cmd.chain_released_at.as_secs();
-            let sensed = lookup(&history, sensed_t);
-            // Lead acceleration estimated by finite difference over the
-            // sensed history (what the prediction module would output).
-            let earlier = lookup(&history, sensed_t - 0.1);
-            let dt_est = (sensed.t - earlier.t).max(config.physics_dt);
-            let lead_accel = (sensed.lead_speed - earlier.lead_speed) / dt_est;
-            let dt_cmd = (cmd.emitted_at.as_secs() - last_cmd_t).max(config.physics_dt);
-            held_accel = controller.command(
-                sensed.lead_speed,
-                lead_accel,
-                sensed.own_speed,
-                sensed.gap,
-                dt_cmd,
-            );
-            last_cmd_t = cmd.emitted_at.as_secs();
-            result.commands += 1;
+        lp.sense(t, || Sensed {
+            lead_speed: lead_sensor.measure(lead_speed_true),
+            own_speed: own_sensor.measure(follower.speed()),
+            gap: gap_true,
+        });
+        lp.actuate(t, |delivery| {
+            held_accel = follow_command(&mut controller, &delivery, dt);
             if config.record_series {
+                let cmd = delivery.command;
                 result
                     .response_times
                     .push(cmd.emitted_at.as_secs(), cmd.response_time().as_millis());
             }
-        }
+        });
 
-        // --- vehicle: integrate physics under the held command; stale
-        // commands time out to coasting (the chassis watchdog) ---
-        let effective_accel = if t - last_cmd_t <= config.command_timeout {
-            held_accel
-        } else {
-            0.0
-        };
-        follower.step(effective_accel, config.physics_dt);
-        lead_position += 0.5
-            * (lead_speed_true + config.lead.speed_at(t + config.physics_dt))
-            * config.physics_dt;
+        // Stale commands time out to coasting (the chassis watchdog).
+        follower.step(lp.stale_for(t).map_or(held_accel, |_| 0.0), dt);
+        lead_position += 0.5 * (lead_speed_true + config.lead.speed_at(t + dt)) * dt;
 
-        // --- metrics ---
         let speed_err = lead_speed_true - follower.speed();
         let target_gap = config.follow.headway * follower.speed() + config.follow.standstill_gap;
         let dist_err = gap_true - target_gap;
@@ -582,41 +544,10 @@ pub fn run_car_following_with_telemetry(
             result.acceleration.push(t, follower.acceleration());
         }
 
-        // --- coordinators: once per control period ---
-        if step % control_every == 0 {
-            let window = sim.stats_mut().take_window();
-            let mut m_k = window.miss_ratio();
+        if let Some((window, m_k)) = lp.period(step, t, speed_err)? {
             if t >= final_from {
                 final_window.0 += window.missed_late + window.expired;
                 final_window.1 += window.total();
-            }
-            // Injected telemetry corruption: the TRA sees the forced miss
-            // ratio instead of the measured one for this period.
-            if let Some(forced) = config.faults.corrupted_feedback_at(t) {
-                m_k = forced;
-                corrupted_feedback_ticks += 1;
-            }
-            let mut tra_floor = false;
-            if let Some(coord) = coordinator.as_mut() {
-                let rates = sim.source_rates();
-                let decision = coord.on_period(PeriodInput {
-                    tracking_error: speed_err,
-                    miss_ratio: m_k,
-                    exec_signal: sim.observed_exec(fusion).as_secs(),
-                    current_rates: &rates,
-                });
-                sim.scheduler_mut().set_nominal_u(decision.nominal_u);
-                for (task, rate) in decision.new_rates {
-                    sim.set_source_rate(task, rate)?;
-                }
-                tra_floor = decision.tra_degraded;
-                if tra_floor {
-                    tra_floor_ticks += 1;
-                }
-            }
-            if config.record_series && !config.faults.is_empty() {
-                let mode = f64::from(u8::from(pdc_hold) | (u8::from(tra_floor) << 1));
-                degraded_mode.push(t, mode);
             }
             if config.record_series {
                 result.lead_speed.push(t, lead_speed_true);
@@ -625,8 +556,10 @@ pub fn run_car_following_with_telemetry(
                 result.gap.push(t, gap_true);
                 result.distance_error.push(t, dist_err);
                 result.miss_ratio.push(t, m_k);
-                result.gamma.push(t, sim.scheduler().gamma().unwrap_or(0.0));
-                let rates = sim.source_rates();
+                result
+                    .gamma
+                    .push(t, lp.sim().scheduler().gamma().unwrap_or(0.0));
+                let rates = lp.sim().source_rates();
                 let mean_rate =
                     rates.iter().map(|(_, r)| r.as_hz()).sum::<f64>() / rates.len().max(1) as f64;
                 result.mean_source_rate.push(t, mean_rate);
@@ -634,57 +567,25 @@ pub fn run_car_following_with_telemetry(
         }
     }
 
-    result.rms_speed_error = if rms_count > 0 {
-        (sq_speed / rms_count as f64).sqrt()
-    } else {
-        0.0
-    };
-    result.rms_distance_error = if rms_count > 0 {
-        (sq_dist / rms_count as f64).sqrt()
-    } else {
-        0.0
-    };
-    result.overall_miss_ratio = sim.stats().totals().miss_ratio();
-    result.final_miss_ratio = if final_window.1 > 0 {
-        final_window.0 as f64 / final_window.1 as f64
-    } else {
-        0.0
-    };
-    result.mean_response_time_ms = sim
-        .stats()
-        .mean_response_time()
-        .map_or(0.0, |d| d.as_millis());
-    result.mean_e2e_ms = sim.stats().mean_end_to_end().map_or(0.0, |d| d.as_millis());
-    result.response_p99_ms = sim
-        .stats()
+    if rms_count > 0 {
+        result.rms_speed_error = (sq_speed / rms_count as f64).sqrt();
+        result.rms_distance_error = (sq_dist / rms_count as f64).sqrt();
+    }
+    if final_window.1 > 0 {
+        result.final_miss_ratio = final_window.0 as f64 / final_window.1 as f64;
+    }
+    let stats = lp.sim().stats();
+    result.commands = lp.commands();
+    result.overall_miss_ratio = stats.totals().miss_ratio();
+    result.mean_response_time_ms = stats.mean_response_time().map_or(0.0, |d| d.as_millis());
+    result.mean_e2e_ms = stats.mean_end_to_end().map_or(0.0, |d| d.as_millis());
+    result.response_p99_ms = stats
         .response_time_percentile(0.99)
         .map_or(0.0, |d| d.as_millis());
-    result.e2e_p99_ms = sim
-        .stats()
+    result.e2e_p99_ms = stats
         .end_to_end_percentile(0.99)
         .map_or(0.0, |d| d.as_millis());
-    let telemetry = if config.faults.is_empty() {
-        None
-    } else {
-        Some(DegradedTelemetry {
-            pdc_hold_ticks,
-            tra_floor_ticks,
-            corrupted_feedback_ticks,
-            fault: sim.fault_counters(),
-            mode: degraded_mode,
-        })
-    };
-    Ok((result, telemetry))
-}
-
-/// Most recent history row at or before `t` (first row if `t` precedes the
-/// history).
-fn lookup(history: &[Sensed], t: f64) -> Sensed {
-    match history.binary_search_by(|s| s.t.total_cmp(&t)) {
-        Ok(i) => history[i],
-        Err(0) => history[0],
-        Err(i) => history[i - 1],
-    }
+    Ok((result, lp.telemetry()))
 }
 
 #[cfg(test)]
@@ -829,33 +730,5 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("injected vehicle crash at t=1.000s"), "{msg}");
-    }
-
-    #[test]
-    fn lookup_finds_latest_at_or_before() {
-        let hist = vec![
-            Sensed {
-                t: 0.0,
-                lead_speed: 1.0,
-                own_speed: 0.0,
-                gap: 0.0,
-            },
-            Sensed {
-                t: 1.0,
-                lead_speed: 2.0,
-                own_speed: 0.0,
-                gap: 0.0,
-            },
-            Sensed {
-                t: 2.0,
-                lead_speed: 3.0,
-                own_speed: 0.0,
-                gap: 0.0,
-            },
-        ];
-        assert_eq!(lookup(&hist, 1.5).lead_speed, 2.0);
-        assert_eq!(lookup(&hist, 2.5).lead_speed, 3.0);
-        assert_eq!(lookup(&hist, -1.0).lead_speed, 1.0);
-        assert_eq!(lookup(&hist, 1.0).lead_speed, 2.0);
     }
 }

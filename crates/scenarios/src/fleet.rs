@@ -37,6 +37,7 @@ use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
 use hcperf_taskgraph::TaskGraph;
 
 use crate::car_following::{run_car_following, CarFollowingConfig, ScenarioError};
+use crate::closed_loop::check_positive;
 use crate::lane_keeping::{run_lane_keeping, LaneKeepingConfig};
 
 /// Which per-vehicle scenario the fleet runs.
@@ -446,6 +447,8 @@ impl RecordSink<Result<VehicleRecord, String>> for FleetSink<'_> {
 ///
 /// # Errors
 ///
+/// [`ScenarioError::InvalidParameter`] for an empty fleet or a
+/// non-finite or non-positive duration, before any vehicle runs;
 /// [`ScenarioError::Job`] if the harness loses a worker,
 /// [`ScenarioError::Sink`] if writing the stream fails. Per-vehicle
 /// simulation failures do **not** error the run — they are `"ok":false`
@@ -473,6 +476,8 @@ pub fn run_fleet_with_cache(
     out: &mut dyn io::Write,
     cache: Option<&mut dyn ResultCache<Result<VehicleRecord, String>>>,
 ) -> Result<FleetSummary, ScenarioError> {
+    check_positive("vehicles", config.vehicles as f64)?;
+    check_positive("duration", config.duration)?;
     // Fault plans are resolved against one shared graph built up front —
     // task-name validation fails the run before any vehicle simulates,
     // and the per-vehicle hot path only draws seeds.

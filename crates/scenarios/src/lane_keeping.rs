@@ -5,13 +5,14 @@
 //! scheduler decides when fresh steering reaches the wheels. Performance
 //! metric: lateral offset from the lane centerline.
 
-use hcperf::{CoordinatorConfig, DpsConfig, HcPerf, PeriodInput, Scheme};
-use hcperf_rtsim::{Sim, SimConfig};
+use hcperf::{CoordinatorConfig, DpsConfig, Scheme};
+use hcperf_faults::VehicleFaults;
 use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
-use hcperf_taskgraph::{LoadProfile, Rate, SimSpan, SimTime, TaskId};
+use hcperf_taskgraph::{GraphError, LoadProfile, SimTime, TaskGraph};
 use hcperf_vehicle::{BicycleCar, BicycleConfig, LaneKeepController, OvalTrack, Track};
 
 use crate::car_following::ScenarioError;
+use crate::closed_loop::{sim_config, ClosedLoop, InitialRates, LoopSpec};
 use crate::metrics::TimeSeries;
 
 /// Configuration of a lane-keeping run.
@@ -103,6 +104,20 @@ impl LaneKeepingConfig {
             warmup: 5.0,
         }
     }
+
+    /// The task graph this configuration runs: the Fig. 11 graph, with
+    /// core affinity only where the scheme uses it.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError`] if the graph options are invalid.
+    pub fn graph(&self) -> Result<TaskGraph, GraphError> {
+        apollo_graph(&GraphOptions {
+            jitter_frac: self.jitter_frac,
+            with_affinity: self.scheme.uses_affinity(),
+            processors: self.processors,
+        })
+    }
 }
 
 /// Aggregates and series of a lane-keeping run.
@@ -135,7 +150,6 @@ pub struct LaneKeepingResult {
 
 #[derive(Debug, Clone, Copy)]
 struct SensedFrenet {
-    t: f64,
     lateral_offset: f64,
     heading_error: f64,
     curvature: f64,
@@ -145,8 +159,8 @@ struct SensedFrenet {
 ///
 /// # Errors
 ///
-/// Returns [`ScenarioError`] if the graph, simulator or coordinator cannot
-/// be constructed.
+/// Returns [`ScenarioError`] if the timing is invalid or the graph,
+/// simulator or coordinator cannot be constructed.
 ///
 /// # Examples
 ///
@@ -161,62 +175,33 @@ struct SensedFrenet {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run_lane_keeping(config: &LaneKeepingConfig) -> Result<LaneKeepingResult, ScenarioError> {
-    let graph_opts = GraphOptions {
-        jitter_frac: config.jitter_frac,
-        with_affinity: config.scheme.uses_affinity(),
-        processors: config.processors,
-    };
-    let graph = apollo_graph(&graph_opts)?;
-    let fusion = graph.find("sensor_fusion").expect("fusion exists");
-
-    let scheduler = config.scheme.build(config.dps);
-    let sim_config = SimConfig {
-        processors: config.processors,
-        seed: config.seed,
-        load: config.load.clone(),
-        staleness_bound: Some(hcperf_taskgraph::SimSpan::from_millis(60.0)),
-        join_policy: hcperf_rtsim::JoinPolicy::SameCycle,
-        expire_queued_jobs: false,
-        release_jitter_frac: 0.15,
-        ..Default::default()
-    };
-    let mut coordinator = if config.scheme.uses_coordinators() {
-        let mut cc = config.coordinator;
-        cc.period = SimSpan::from_secs(config.control_period);
-        // Lane-keeping errors are tens of centimeters, not m/s: rescale the
-        // PDC so a 0.1 m offset drives u as strongly as ~1 m/s did, and
-        // shrink the deadband accordingly.
-        cc.pdc.error_scale *= 10.0;
-        cc.pdc.deadband = 0.01;
-        Some(HcPerf::new(cc, &graph)?)
-    } else {
-        None
-    };
-    let mut sim = Sim::new(graph, sim_config, scheduler)?;
-
-    let initial: Vec<(TaskId, Rate)> = sim
-        .source_rates()
-        .iter()
-        .map(|&(task, rate)| {
-            let spec = sim.graph().spec(task);
-            let applied = match (config.scheme.uses_coordinators(), spec.rate_range()) {
-                (true, Some(range)) => range.lerp(config.hcperf_initial_rate_fraction),
-                (false, Some(range)) => range.clamp(Rate::from_hz(config.baseline_rate_hz)),
-                _ => rate,
-            };
-            (task, applied)
-        })
-        .collect();
-    for (task, rate) in initial {
-        sim.set_source_rate(task, rate)?;
-    }
+    // Lane-keeping errors are tens of centimeters, not m/s: rescale the
+    // PDC so a 0.1 m offset drives u as strongly as ~1 m/s did, and
+    // shrink the deadband accordingly.
+    let mut coordinator = config.coordinator;
+    coordinator.pdc.error_scale *= 10.0;
+    coordinator.pdc.deadband = 0.01;
+    let no_faults = VehicleFaults::default();
+    let mut lp = ClosedLoop::new(LoopSpec {
+        scheme: config.scheme,
+        graph: config.graph()?,
+        sim: sim_config(config.processors, config.seed, &config.load),
+        dps: config.dps,
+        coordinator,
+        initial_rates: InitialRates::PerScheme {
+            baseline_hz: config.baseline_rate_hz,
+            fraction: config.hcperf_initial_rate_fraction,
+        },
+        duration: config.duration,
+        physics_dt: config.physics_dt,
+        control_period: config.control_period,
+        command_timeout: config.command_timeout,
+        faults: &no_faults,
+        record_mode: false,
+    })?;
 
     let mut car = BicycleCar::new(config.bicycle);
     let mut held_steer = 0.0f64;
-    let mut last_cmd_t = 0.0f64;
-    let mut history: Vec<SensedFrenet> =
-        Vec::with_capacity((config.duration / config.physics_dt) as usize + 2);
-
     let mut result = LaneKeepingResult {
         scheme: config.scheme,
         rms_lateral_offset: 0.0,
@@ -230,38 +215,28 @@ pub fn run_lane_keeping(config: &LaneKeepingConfig) -> Result<LaneKeepingResult,
         miss_ratio: TimeSeries::new("miss_ratio"),
         gamma: TimeSeries::new("gamma"),
     };
-
     let mut sq = 0.0f64;
     let mut count = 0u64;
-    let steps = (config.duration / config.physics_dt).round() as usize;
-    let control_every = (config.control_period / config.physics_dt).round().max(1.0) as usize;
 
-    for step in 0..steps {
-        let t = step as f64 * config.physics_dt;
-        history.push(SensedFrenet {
-            t,
+    for (step, t) in lp.ticks() {
+        lp.sense(t, || SensedFrenet {
             lateral_offset: car.lateral_offset(),
             heading_error: car.heading_error(),
             curvature: config.track.curvature(car.arc_position()),
         });
-
-        sim.run_until(SimTime::from_secs(t));
-        for cmd in sim.drain_commands() {
-            let sensed = lookup(&history, cmd.chain_released_at.as_secs());
+        lp.actuate(t, |delivery| {
+            let (_, sensed) = delivery.sensed;
             held_steer = config.steer.steer(
                 sensed.lateral_offset,
                 sensed.heading_error,
                 sensed.curvature,
             );
-            last_cmd_t = cmd.emitted_at.as_secs();
-            result.commands += 1;
-        }
+        });
 
         // Stale steering eases back toward center (chassis watchdog).
-        let effective_steer = if t - last_cmd_t <= config.command_timeout {
-            held_steer
-        } else {
-            held_steer * (0.2f64).powf((t - last_cmd_t - config.command_timeout).min(5.0))
+        let effective_steer = match lp.stale_for(t) {
+            None => held_steer,
+            Some(stale) => held_steer * (0.2f64).powf(stale.min(5.0)),
         };
         car.step(
             config.speed,
@@ -276,49 +251,27 @@ pub fn run_lane_keeping(config: &LaneKeepingConfig) -> Result<LaneKeepingResult,
             result.max_lateral_offset = result.max_lateral_offset.max(car.lateral_offset().abs());
         }
 
-        if step % control_every == 0 {
-            let window = sim.stats_mut().take_window();
-            let m_k = window.miss_ratio();
-            if let Some(coord) = coordinator.as_mut() {
-                let rates = sim.source_rates();
-                let decision = coord.on_period(PeriodInput {
-                    tracking_error: car.lateral_offset(),
-                    miss_ratio: m_k,
-                    exec_signal: sim.observed_exec(fusion).as_secs(),
-                    current_rates: &rates,
-                });
-                sim.scheduler_mut().set_nominal_u(decision.nominal_u);
-                for (task, rate) in decision.new_rates {
-                    sim.set_source_rate(task, rate)?;
-                }
-            }
+        if let Some((_, m_k)) = lp.period(step, t, car.lateral_offset())? {
             result.lateral_offset.push(t, car.lateral_offset());
             result.arc_position.push(t, car.arc_position());
             result.miss_ratio.push(t, m_k);
-            result.gamma.push(t, sim.scheduler().gamma().unwrap_or(0.0));
+            result
+                .gamma
+                .push(t, lp.sim().scheduler().gamma().unwrap_or(0.0));
         }
     }
 
-    result.rms_lateral_offset = if count > 0 {
-        (sq / count as f64).sqrt()
-    } else {
-        0.0
-    };
-    result.overall_miss_ratio = sim.stats().totals().miss_ratio();
-    result.mean_e2e_ms = sim.stats().mean_end_to_end().map_or(0.0, |d| d.as_millis());
-    result.e2e_p99_ms = sim
-        .stats()
+    if count > 0 {
+        result.rms_lateral_offset = (sq / count as f64).sqrt();
+    }
+    let stats = lp.sim().stats();
+    result.commands = lp.commands();
+    result.overall_miss_ratio = stats.totals().miss_ratio();
+    result.mean_e2e_ms = stats.mean_end_to_end().map_or(0.0, |d| d.as_millis());
+    result.e2e_p99_ms = stats
         .end_to_end_percentile(0.99)
         .map_or(0.0, |d| d.as_millis());
     Ok(result)
-}
-
-fn lookup(history: &[SensedFrenet], t: f64) -> SensedFrenet {
-    match history.binary_search_by(|s| s.t.total_cmp(&t)) {
-        Ok(i) => history[i],
-        Err(0) => history[0],
-        Err(i) => history[i - 1],
-    }
 }
 
 #[cfg(test)]

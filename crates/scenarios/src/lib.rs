@@ -13,7 +13,6 @@
 //! * [`motivation`] — the § II red-light study (Fig. 4);
 //! * [`traffic_jam`] — the § VII-C responsiveness/throughput study
 //!   (Fig. 16/17);
-//! * [`runner`] — run one scenario across all five schemes;
 //! * [`metrics`] / [`report`] — RMS/series recording and paper-style
 //!   tables / CSV output.
 //!
@@ -36,13 +35,13 @@
 //! ```
 
 pub mod car_following;
+mod closed_loop;
 pub mod fleet;
 pub mod lane_keeping;
 pub mod metrics;
 pub mod motivation;
 pub mod report;
 pub mod robustness;
-pub mod runner;
 pub mod sweep;
 pub mod traffic_jam;
 
@@ -55,10 +54,5 @@ pub use lane_keeping::{run_lane_keeping, LaneKeepingConfig, LaneKeepingResult};
 pub use metrics::TimeSeries;
 pub use motivation::{run_motivation, MotivationConfig, MotivationResult};
 pub use robustness::{traction_loss_comparison, RecoveryRow, TractionLossConfig};
-pub use runner::{
-    compare_car_following, compare_car_following_parallel, compare_car_following_seeded,
-    compare_car_following_seeded_parallel, compare_lane_keeping, compare_lane_keeping_parallel,
-    SeedStats, SeededComparison,
-};
 pub use sweep::{knee, rate_sweep, rate_sweep_parallel, SweepConfig, SweepPoint};
 pub use traffic_jam::{analyze_responsiveness, traffic_jam_config, ResponsivenessReport};

@@ -9,15 +9,16 @@
 //! become sluggish and the gap collapses to a collision (Fig. 4b, at
 //! `t ≈ 23.4 s` in the paper).
 
-use hcperf::{CoordinatorConfig, DpsConfig, HcPerf, PeriodInput, Scheme};
-use hcperf_rtsim::{Sim, SimConfig};
+use hcperf::{CoordinatorConfig, DpsConfig, Scheme};
+use hcperf_faults::VehicleFaults;
 use hcperf_taskgraph::graphs::{motivation_graph, GraphOptions};
-use hcperf_taskgraph::{LoadProfile, Rate, SimTime, TaskId};
+use hcperf_taskgraph::{GraphError, LoadProfile, SimTime, TaskGraph};
 use hcperf_vehicle::{
     CarFollowController, FollowConfig, LeadProfile, LongitudinalCar, LongitudinalConfig,
 };
 
-use crate::car_following::ScenarioError;
+use crate::car_following::{follow_command, ScenarioError, Sensed};
+use crate::closed_loop::{sim_config, ClosedLoop, InitialRates, LoopSpec};
 use crate::metrics::TimeSeries;
 
 /// Configuration of the motivation study.
@@ -69,6 +70,22 @@ impl Default for MotivationConfig {
     }
 }
 
+impl MotivationConfig {
+    /// The task graph the study runs: the motivation graph with 10 %
+    /// execution jitter and no core affinity.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError`] if the graph options are invalid.
+    pub fn graph(&self) -> Result<TaskGraph, GraphError> {
+        motivation_graph(&GraphOptions {
+            jitter_frac: 0.1,
+            with_affinity: false,
+            processors: self.processors,
+        })
+    }
+}
+
 /// Outcome of the motivation study.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct MotivationResult {
@@ -94,7 +111,8 @@ pub struct MotivationResult {
 ///
 /// # Errors
 ///
-/// Returns [`ScenarioError`] on graph or simulator construction failure.
+/// Returns [`ScenarioError`] if the timing is invalid or the graph or
+/// simulator cannot be constructed.
 ///
 /// # Examples
 ///
@@ -108,39 +126,26 @@ pub struct MotivationResult {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run_motivation(config: &MotivationConfig) -> Result<MotivationResult, ScenarioError> {
-    let graph = motivation_graph(&GraphOptions {
-        jitter_frac: 0.1,
-        with_affinity: false,
-        processors: config.processors,
+    let mut coordinator = CoordinatorConfig::default();
+    coordinator.pdc.error_scale = 0.1;
+    coordinator.pdc.deadband = 0.02;
+    let no_faults = VehicleFaults::default();
+    let dt = config.physics_dt;
+    let mut lp = ClosedLoop::new(LoopSpec {
+        scheme: config.scheme,
+        graph: config.graph()?,
+        sim: sim_config(config.processors, config.seed, &config.load),
+        dps: DpsConfig::default(),
+        coordinator,
+        initial_rates: InitialRates::Fixed(config.source_rate_hz),
+        duration: config.duration,
+        physics_dt: dt,
+        // The coordinators run every 20 physics steps.
+        control_period: 20.0 * dt,
+        command_timeout: config.command_timeout,
+        faults: &no_faults,
+        record_mode: false,
     })?;
-    let scheduler = config.scheme.build(DpsConfig::default());
-    let mut coordinator = if config.scheme.uses_coordinators() {
-        let mut cc = CoordinatorConfig::default();
-        cc.pdc.error_scale = 0.1;
-        cc.pdc.deadband = 0.02;
-        Some(HcPerf::new(cc, &graph).map_err(ScenarioError::from)?)
-    } else {
-        None
-    };
-    let mut sim = Sim::new(
-        graph,
-        SimConfig {
-            processors: config.processors,
-            seed: config.seed,
-            load: config.load.clone(),
-            staleness_bound: Some(hcperf_taskgraph::SimSpan::from_millis(60.0)),
-            join_policy: hcperf_rtsim::JoinPolicy::SameCycle,
-            expire_queued_jobs: false,
-            release_jitter_frac: 0.15,
-            ..Default::default()
-        },
-        scheduler,
-    )?;
-    let fusion = sim.graph().find("sensor_fusion").expect("fusion exists");
-    let sources: Vec<TaskId> = sim.source_rates().iter().map(|&(t, _)| t).collect();
-    for task in sources {
-        sim.set_source_rate(task, Rate::from_hz(config.source_rate_hz))?;
-    }
 
     let lead = LeadProfile::motivation_red_light();
     let mut follower =
@@ -148,9 +153,6 @@ pub fn run_motivation(config: &MotivationConfig) -> Result<MotivationResult, Sce
     let mut controller = CarFollowController::new(FollowConfig::default());
     let mut lead_position = 0.0f64;
     let mut held_accel = 0.0f64;
-    let mut last_cmd_t = 0.0f64;
-    // Sensing history for delayed command computation.
-    let mut history: Vec<(f64, f64, f64, f64)> = Vec::new();
 
     let mut result = MotivationResult {
         scheme: config.scheme,
@@ -167,74 +169,42 @@ pub fn run_motivation(config: &MotivationConfig) -> Result<MotivationResult, Sce
     let mut after = (0u64, 0u64);
     let mut next_second = 1.0f64;
 
-    let steps = (config.duration / config.physics_dt).round() as usize;
-    for step in 0..steps {
-        let t = step as f64 * config.physics_dt;
+    for (step, t) in lp.ticks() {
         let lead_speed = lead.speed_at(t);
         let gap = lead_position - follower.position();
-        history.push((t, lead_speed, follower.speed(), gap));
-
-        sim.run_until(SimTime::from_secs(t));
-        for cmd in sim.drain_commands() {
-            let sensed_t = cmd.chain_released_at.as_secs();
-            let idx = history.partition_point(|(ht, ..)| *ht <= sensed_t);
-            let (st, ls, os, g) = history[idx.saturating_sub(1)];
-            let eidx = history.partition_point(|(ht, ..)| *ht <= sensed_t - 0.1);
-            let (et, els, ..) = history[eidx.saturating_sub(1)];
-            let lead_accel = (ls - els) / (st - et).max(config.physics_dt);
-            let dt_cmd = (cmd.emitted_at.as_secs() - last_cmd_t).max(config.physics_dt);
-            held_accel = controller.command(ls, lead_accel, os, g, dt_cmd);
-            last_cmd_t = cmd.emitted_at.as_secs();
-        }
-        let effective_accel = if t - last_cmd_t <= config.command_timeout {
-            held_accel
-        } else {
-            0.0
-        };
-        follower.step(effective_accel, config.physics_dt);
-        lead_position +=
-            0.5 * (lead_speed + lead.speed_at(t + config.physics_dt)) * config.physics_dt;
+        lp.sense(t, || Sensed {
+            lead_speed,
+            own_speed: follower.speed(),
+            gap,
+        });
+        lp.actuate(t, |delivery| {
+            held_accel = follow_command(&mut controller, &delivery, dt);
+        });
+        // Stale commands time out to coasting (the chassis watchdog).
+        follower.step(lp.stale_for(t).map_or(held_accel, |_| 0.0), dt);
+        lead_position += 0.5 * (lead_speed + lead.speed_at(t + dt)) * dt;
 
         if gap <= 0.0 && result.collision_time.is_none() {
             result.collision_time = Some(t);
         }
-        if step % 20 == 0 {
-            result
-                .speed_difference
-                .push(t, lead_speed - follower.speed());
+        let speed_difference = lead_speed - follower.speed();
+        if let Some((w, _)) = lp.period(step, t, speed_difference)? {
+            result.speed_difference.push(t, speed_difference);
             result.gap.push(t, gap.max(0.0));
-            let w = sim.stats_mut().take_window();
-            window.0 += w.missed_late + w.expired;
-            window.1 += w.total();
-            let bucket = if t < 5.0 { &mut before } else { &mut after };
-            bucket.0 += w.missed_late + w.expired;
-            bucket.1 += w.total();
-            if let Some(coord) = coordinator.as_mut() {
-                let rates = sim.source_rates();
-                let decision = coord.on_period(PeriodInput {
-                    tracking_error: lead_speed - follower.speed(),
-                    miss_ratio: w.miss_ratio(),
-                    exec_signal: sim.observed_exec(fusion).as_secs(),
-                    current_rates: &rates,
-                });
-                sim.scheduler_mut().set_nominal_u(decision.nominal_u);
-                for (task, rate) in decision.new_rates {
-                    sim.set_source_rate(task, rate)?;
-                }
+            for acc in [&mut window, if t < 5.0 { &mut before } else { &mut after }] {
+                acc.0 += w.missed_late + w.expired;
+                acc.1 += w.total();
             }
         }
         if t >= next_second {
-            let ratio = if window.1 > 0 {
-                window.0 as f64 / window.1 as f64
-            } else {
-                0.0
-            };
-            result.miss_ratio_per_sec.push((next_second, ratio));
+            result
+                .miss_ratio_per_sec
+                .push((next_second, ratio_of(window)));
             window = (0, 0);
             next_second += 1.0;
         }
     }
-    result.overall_miss_ratio = sim.stats().totals().miss_ratio();
+    result.overall_miss_ratio = lp.sim().stats().totals().miss_ratio();
     result.miss_ratio_before_event = ratio_of(before);
     result.miss_ratio_after_event = ratio_of(after);
     Ok(result)

@@ -10,28 +10,16 @@
 
 use std::io::{self, Write};
 
+use hcperf_bench::experiments::{fig04_motivation, fig15_hardware};
 use hcperf_suite::core::Scheme;
-use hcperf_suite::scenarios::car_following::CarFollowingConfig;
 use hcperf_suite::scenarios::fleet::{
     run_fleet, run_fleet_with_cache, FleetConfig, FleetPreset, VehicleRecord,
 };
-use hcperf_suite::scenarios::runner::{
-    compare_car_following, compare_car_following_parallel, compare_car_following_seeded,
-    compare_car_following_seeded_parallel, compare_lane_keeping, compare_lane_keeping_parallel,
-};
 use hcperf_suite::scenarios::sweep::{rate_sweep, rate_sweep_parallel, SweepConfig};
-use hcperf_suite::scenarios::{LaneKeepingConfig, ScenarioError};
+use hcperf_suite::scenarios::ScenarioError;
 use hcperf_suite::store::{fingerprint, CellCache, Store};
 
 const WORKER_MATRIX: [usize; 3] = [1, 2, 8];
-
-fn short_car_following() -> CarFollowingConfig {
-    let mut base = CarFollowingConfig::paper_simulation(Scheme::Hpf);
-    base.duration = 5.0;
-    base.fusion_step = None;
-    base.record_series = false;
-    base
-}
 
 #[test]
 fn rate_sweep_is_bit_identical_across_worker_counts() {
@@ -47,33 +35,32 @@ fn rate_sweep_is_bit_identical_across_worker_counts() {
     }
 }
 
-#[test]
-fn seeded_comparison_is_bit_identical_across_worker_counts() {
-    let base = short_car_following();
-    let seeds = [1u64, 2, 3];
-    let sequential = compare_car_following_seeded(&base, &seeds).unwrap();
-    for workers in WORKER_MATRIX {
-        let parallel = compare_car_following_seeded_parallel(&base, &seeds, workers).unwrap();
-        assert_eq!(parallel, sequential, "workers={workers}");
+/// Runs `produce` at every worker count of the matrix and asserts the
+/// outputs are identical.
+fn assert_same_at_every_worker_count<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    produce: impl Fn(usize) -> T,
+) {
+    let [(ref_workers, reference), rest @ ..] = WORKER_MATRIX.map(|w| (w, produce(w)));
+    for (workers, output) in rest {
+        assert_eq!(
+            output, reference,
+            "{what}: {workers} workers differ from {ref_workers}"
+        );
     }
 }
 
+/// The figure fan-out that ships: the Fig. 4 report (two motivation
+/// cells) and the Fig. 15 report (five schemes × three seeds of
+/// hardware car following) print the same text at any worker count.
 #[test]
-fn scheme_comparison_is_bit_identical_across_worker_counts() {
-    let base = short_car_following();
-    let sequential = compare_car_following(&base).unwrap();
-    for workers in WORKER_MATRIX {
-        let parallel = compare_car_following_parallel(&base, workers).unwrap();
-        assert_eq!(parallel.len(), sequential.len(), "workers={workers}");
-        for (s, p) in sequential.iter().zip(&parallel) {
-            assert_eq!(s.scheme, p.scheme);
-            assert_eq!(s.commands, p.commands, "workers={workers} {}", s.scheme);
-            assert_eq!(s.rms_speed_error, p.rms_speed_error);
-            assert_eq!(s.rms_distance_error, p.rms_distance_error);
-            assert_eq!(s.overall_miss_ratio, p.overall_miss_ratio);
-            assert_eq!(s.mean_e2e_ms, p.mean_e2e_ms);
-        }
-    }
+fn fig04_report_is_bit_identical_across_worker_counts() {
+    assert_same_at_every_worker_count("fig04", |workers| fig04_motivation(workers, None).unwrap());
+}
+
+#[test]
+fn fig15_report_is_bit_identical_across_worker_counts() {
+    assert_same_at_every_worker_count("fig15", |workers| fig15_hardware(workers, None).unwrap());
 }
 
 /// The fleet-service contract at scale: a 1000-vehicle run — every
@@ -329,20 +316,21 @@ fn faulted_fleet_is_bit_identical_across_workers_and_kill_resume() {
     std::panic::set_hook(prev);
 }
 
+/// A short lane-keeping fleet, every scheme: the second closed loop's
+/// stream is byte-identical at any worker count.
 #[test]
-fn lane_keeping_comparison_is_bit_identical_across_worker_counts() {
-    let mut base = LaneKeepingConfig::paper_loop(Scheme::Hpf);
-    base.duration = 5.0;
-    let sequential = compare_lane_keeping(&base).unwrap();
-    for workers in WORKER_MATRIX {
-        let parallel = compare_lane_keeping_parallel(&base, workers).unwrap();
-        assert_eq!(parallel.len(), sequential.len(), "workers={workers}");
-        for (s, p) in sequential.iter().zip(&parallel) {
-            assert_eq!(s.scheme, p.scheme);
-            assert_eq!(s.commands, p.commands, "workers={workers} {}", s.scheme);
-            assert_eq!(s.rms_lateral_offset, p.rms_lateral_offset);
-            assert_eq!(s.max_lateral_offset, p.max_lateral_offset);
-            assert_eq!(s.overall_miss_ratio, p.overall_miss_ratio);
-        }
+fn lane_keeping_fleet_is_bit_identical_across_worker_counts() {
+    for scheme in Scheme::all() {
+        assert_same_at_every_worker_count(&format!("lane keeping {scheme}"), |workers| {
+            let mut config = FleetConfig::new(FleetPreset::LaneKeeping, 16);
+            config.scheme = scheme;
+            config.duration = 2.0;
+            config.aggregate_every = 4;
+            config.workers = workers;
+            let mut buf = Vec::new();
+            let summary = run_fleet(&config, &mut buf).unwrap();
+            assert_eq!(summary.ok, 16, "{scheme} workers={workers}");
+            String::from_utf8(buf).unwrap()
+        });
     }
 }
