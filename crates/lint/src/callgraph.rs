@@ -14,93 +14,45 @@
 
 use std::collections::BTreeMap;
 
-use crate::parse::{CallSite, LoopSite, ParsedFile, Receiver};
-
-/// One function node in the workspace graph.
-#[derive(Debug, Clone)]
-pub struct FnNode {
-    /// Workspace-relative path of the defining file.
-    pub path: String,
-    /// Function name.
-    pub name: String,
-    /// Enclosing impl/trait subject type, if any.
-    pub impl_type: Option<String>,
-    /// Parameter count including `self`.
-    pub arity: usize,
-    /// True when the first parameter is a `self` receiver.
-    pub has_self: bool,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
-    /// Byte range of the body in the file's masked text.
-    pub body: Option<(usize, usize)>,
-    /// True when declared via `// hcperf-lint: hot-path-root`.
-    pub is_root: bool,
-    /// Sink name when declared via `// hcperf-lint: det-sink(<name>)`
-    /// (only set when the graph is built from [`crate::parse::parse_file_marked`]).
-    pub sink: Option<String>,
-    /// True when declared via `// hcperf-lint: det-sanitizer(<name>)`.
-    pub sanitizer: bool,
-}
-
-impl FnNode {
-    /// `Type::name` for methods, `name` for free functions.
-    #[must_use]
-    pub fn qualified(&self) -> String {
-        match &self.impl_type {
-            Some(t) => format!("{t}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
-}
+use crate::parse::{CallSite, FnItem, LoopSite, ParsedFile, Receiver};
 
 /// One call site of a node together with its resolved candidate callees —
 /// the per-site view the WCET pass needs (a callee's cost multiplies by
 /// the loops enclosing the *site*, so collapsing to `edges` loses it).
 #[derive(Debug, Clone)]
-pub struct SiteEdge {
+pub struct SiteEdge<'a> {
     /// The call site as parsed.
-    pub site: CallSite,
+    pub site: &'a CallSite,
     /// Candidate callee node indices, sorted, deduped. Empty when the name
     /// has no workspace definition (std / external call).
     pub callees: Vec<usize>,
 }
 
-/// The workspace call graph.
+/// The workspace call graph, borrowing the parsed files' items.
 #[derive(Debug)]
-pub struct CallGraph {
+pub struct CallGraph<'a> {
     /// All function nodes, ordered by (path, line).
-    pub nodes: Vec<FnNode>,
+    pub nodes: Vec<&'a FnItem>,
     /// `edges[i]` are the candidate callees of `nodes[i]`, sorted, deduped.
     pub edges: Vec<Vec<usize>>,
     /// `sites[i]` are the call sites of `nodes[i]` with per-site resolution.
-    pub sites: Vec<Vec<SiteEdge>>,
+    pub sites: Vec<Vec<SiteEdge<'a>>>,
     /// `loops[i]` are the loops of `nodes[i]`, in source order.
-    pub loops: Vec<Vec<LoopSite>>,
+    pub loops: Vec<&'a [LoopSite]>,
 }
 
-impl CallGraph {
-    /// Builds the graph from parsed files.
+impl<'a> CallGraph<'a> {
+    /// Builds the graph from parsed files; node order follows file order.
     #[must_use]
-    pub fn build(files: &[ParsedFile]) -> CallGraph {
+    pub fn build(files: impl IntoIterator<Item = &'a ParsedFile>) -> CallGraph<'a> {
         let mut nodes = Vec::new();
         let mut site_lists = Vec::new();
         let mut loops = Vec::new();
         for file in files {
             for ((item, sites), fn_loops) in file.fns.iter().zip(&file.calls).zip(&file.loops) {
-                nodes.push(FnNode {
-                    path: file.path.clone(),
-                    name: item.name.clone(),
-                    impl_type: item.impl_type.clone(),
-                    arity: item.arity,
-                    has_self: item.has_self,
-                    line: item.line,
-                    body: item.body,
-                    is_root: item.is_root,
-                    sink: item.sink.clone(),
-                    sanitizer: item.sanitizer,
-                });
+                nodes.push(item);
                 site_lists.push(sites);
-                loops.push(fn_loops.clone());
+                loops.push(fn_loops.as_slice());
             }
         }
         let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -113,14 +65,11 @@ impl CallGraph {
             let mut out = Vec::new();
             let mut resolved = Vec::with_capacity(sites.len());
             for site in sites.iter() {
-                let mut callees = resolve(site, &nodes[caller], &by_name, &nodes);
+                let mut callees = resolve(site, nodes[caller], &by_name, &nodes);
                 callees.sort_unstable();
                 callees.dedup();
                 out.extend(callees.iter().copied());
-                resolved.push(SiteEdge {
-                    site: site.clone(),
-                    callees,
-                });
+                resolved.push(SiteEdge { site, callees });
             }
             out.sort_unstable();
             out.dedup();
@@ -167,47 +116,31 @@ impl CallGraph {
 /// for the narrowing policy.
 fn resolve(
     site: &crate::parse::CallSite,
-    caller: &FnNode,
+    caller: &FnItem,
     by_name: &BTreeMap<&str, Vec<usize>>,
-    nodes: &[FnNode],
+    nodes: &[&FnItem],
 ) -> Vec<usize> {
     let Some(named) = by_name.get(site.name.as_str()) else {
         return Vec::new();
     };
-    let mut candidates = named.clone();
-
     // Receiver-shape filter.
-    let narrowed: Vec<usize> = match &site.receiver {
-        Receiver::SelfMethod => candidates
-            .iter()
-            .copied()
-            .filter(|&i| nodes[i].impl_type == caller.impl_type && nodes[i].impl_type.is_some())
-            .collect(),
-        Receiver::Path(seg) => {
-            let subject = if seg == "Self" {
-                caller.impl_type.clone()
-            } else {
-                Some(seg.clone())
-            };
-            candidates
-                .iter()
-                .copied()
-                .filter(|&i| nodes[i].impl_type == subject && subject.is_some())
-                .collect()
-        }
-        Receiver::Method => candidates
-            .iter()
-            .copied()
-            .filter(|&i| nodes[i].has_self)
-            .collect(),
-        Receiver::Free => candidates
-            .iter()
-            .copied()
-            .filter(|&i| !nodes[i].has_self)
-            .collect(),
+    let path_subject = match &site.receiver {
+        Receiver::Path(seg) if seg != "Self" => Some(seg.as_str()),
+        _ => caller.impl_type.as_deref(),
     };
-    if !narrowed.is_empty() {
-        candidates = narrowed;
+    let shape_ok = |i: usize| match &site.receiver {
+        Receiver::SelfMethod => {
+            nodes[i].impl_type.is_some() && nodes[i].impl_type == caller.impl_type
+        }
+        Receiver::Path(_) => {
+            path_subject.is_some() && nodes[i].impl_type.as_deref() == path_subject
+        }
+        Receiver::Method => nodes[i].has_self,
+        Receiver::Free => !nodes[i].has_self,
+    };
+    let mut candidates: Vec<usize> = named.iter().copied().filter(|&i| shape_ok(i)).collect();
+    if candidates.is_empty() {
+        candidates.clone_from(named);
     }
 
     // Arity filter. Dot-method shapes consume one extra slot for the
@@ -217,33 +150,23 @@ fn resolve(
         Receiver::SelfMethod | Receiver::Method => site.args + 1,
         Receiver::Path(_) | Receiver::Free => site.args,
     };
-    let narrowed: Vec<usize> = candidates
-        .iter()
-        .copied()
-        .filter(|&i| nodes[i].arity == expected)
-        .collect();
-    if !narrowed.is_empty() {
-        candidates = narrowed;
+    if candidates.iter().any(|&i| nodes[i].arity == expected) {
+        candidates.retain(|&i| nodes[i].arity == expected);
     }
-
     candidates
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_file;
+    use crate::parse::parse_file_marked;
     use crate::source::mask;
 
-    fn graph(files: &[(&str, &str)]) -> CallGraph {
-        let parsed: Vec<ParsedFile> = files
+    fn parsed(files: &[(&str, &str)]) -> Vec<ParsedFile> {
+        files
             .iter()
-            .map(|(path, src)| {
-                let m = mask(src);
-                parse_file(path, &m.masked, &m.hot_path_roots)
-            })
-            .collect();
-        CallGraph::build(&parsed)
+            .map(|(path, src)| parse_file_marked(path, &mask(src)))
+            .collect()
     }
 
     fn idx(g: &CallGraph, qualified: &str) -> usize {
@@ -255,7 +178,7 @@ mod tests {
 
     #[test]
     fn method_resolution_prefers_receiver_type() {
-        let g = graph(&[(
+        let p = parsed(&[(
             "a.rs",
             "\
 struct A; struct B;
@@ -264,13 +187,14 @@ impl B { fn go(&self) {} }
 impl A { fn caller(&self) { self.go(); } }
 ",
         )]);
+        let g = CallGraph::build(&p);
         let caller = idx(&g, "A::caller");
         assert_eq!(g.edges[caller], vec![idx(&g, "A::go")]);
     }
 
     #[test]
     fn ambiguous_method_over_approximates_to_all_receivers() {
-        let g = graph(&[(
+        let p = parsed(&[(
             "a.rs",
             "\
 struct A; struct B;
@@ -279,6 +203,7 @@ impl B { fn go(&self) {} }
 fn caller(x: &A) { x.go(); }
 ",
         )]);
+        let g = CallGraph::build(&p);
         let caller = idx(&g, "caller");
         // `x.go()` cannot infer the receiver type: both impls are edges.
         assert_eq!(g.edges[caller], vec![idx(&g, "A::go"), idx(&g, "B::go")]);
@@ -286,7 +211,7 @@ fn caller(x: &A) { x.go(); }
 
     #[test]
     fn path_call_filters_by_type_and_falls_back() {
-        let g = graph(&[(
+        let p = parsed(&[(
             "a.rs",
             "\
 struct A;
@@ -295,6 +220,7 @@ mod helpers { pub fn make() -> u32 { 0 } }
 fn caller() { A::make(); helpers::make(); }
 ",
         )]);
+        let g = CallGraph::build(&p);
         let caller = idx(&g, "caller");
         // `A::make` narrows to the impl; `helpers::make` has no type named
         // `helpers`, so the filter would empty the set and is dropped —
@@ -305,7 +231,7 @@ fn caller() { A::make(); helpers::make(); }
 
     #[test]
     fn reachability_reaches_fixed_point_across_files() {
-        let g = graph(&[
+        let p = parsed(&[
             (
                 "a.rs",
                 "\
@@ -316,6 +242,7 @@ fn root() { middle(1); }
             ("b.rs", "fn middle(x: u32) { leaf(); }"),
             ("c.rs", "fn leaf() {}\nfn unreached() { leaf(); }"),
         ]);
+        let g = CallGraph::build(&p);
         let reach: Vec<String> = g
             .reachable_from_roots()
             .iter()
@@ -326,11 +253,12 @@ fn root() { middle(1); }
 
     #[test]
     fn arity_narrows_same_named_free_fns_across_files() {
-        let g = graph(&[
+        let p = parsed(&[
             ("a.rs", "pub fn f(a: u32) {}"),
             ("b.rs", "pub fn f() {}"),
             ("c.rs", "fn caller() { f(1); }"),
         ]);
+        let g = CallGraph::build(&p);
         let caller = idx(&g, "caller");
         let targets: Vec<&str> = g.edges[caller]
             .iter()
@@ -341,7 +269,7 @@ fn root() { middle(1); }
 
     #[test]
     fn per_site_resolution_is_retained_for_wcet() {
-        let g = graph(&[(
+        let p = parsed(&[(
             "a.rs",
             "\
 fn leaf() {}
@@ -351,6 +279,7 @@ fn caller(n: usize) {
 }
 ",
         )]);
+        let g = CallGraph::build(&p);
         let caller = idx(&g, "caller");
         assert_eq!(g.sites[caller].len(), 2);
         assert_eq!(g.sites[caller][0].callees, vec![idx(&g, "leaf")]);
@@ -360,7 +289,7 @@ fn caller(n: usize) {
 
     #[test]
     fn self_path_resolves_to_enclosing_impl() {
-        let g = graph(&[(
+        let p = parsed(&[(
             "a.rs",
             "\
 struct A;
@@ -370,6 +299,7 @@ impl A {
 }
 ",
         )]);
+        let g = CallGraph::build(&p);
         let caller = idx(&g, "A::caller");
         assert_eq!(g.edges[caller], vec![idx(&g, "A::new")]);
     }

@@ -1,89 +1,28 @@
-//! `--det-flow`: interprocedural determinism-taint dataflow with
-//! certified output sinks.
+//! Interprocedural determinism-taint dataflow with certified output
+//! sinks.
 //!
-//! The determinism rules in [`crate::rules`] are lexical: they flag a
-//! `HashMap` where it is written. This pass answers the stronger question
-//! the reproducibility contract actually needs: **can a nondeterminism
-//! source reach a serialized output?** Sources (unordered container
-//! iteration, wall-clock values, channel arrival order, thread identity,
-//! env reads, address-seeded hashing, unordered parallel reduction) are
-//! flowed over the v2 call graph to declared sinks — the JSONL writers,
-//! the store's content-hash inputs, seed derivation, and the experiment
-//! binaries' stdout — each marked in source with
-//! `// hcperf-lint: det-sink(<name>)`.
-//!
-//! # Lattice and propagation
-//!
-//! A taint element is a *source site* `(path, line, pattern)`; sets of
-//! elements form the lattice under union, so the fixpoint is monotone and
-//! terminates. Each function body is scanned left to right as an ordered
-//! event list (source hits, sanitizer hits, call sites); a running set
-//! tracks which source sites are live at each byte offset:
-//!
-//! - a **source** event inserts its element (unless waived with
-//!   `allow(det-flow)` at the site);
-//! - a **sanitizer** event (`BTreeMap`/`BTreeSet` rebuild, any of the
-//!   `sort*` family, or a call to a `det-sanitizer(<name>)`-marked fn)
-//!   clears the entire running set — deliberately coarse, see
-//!   *Approximations* below;
-//! - a **call** event imports the callee's escape summary `out(g)` into
-//!   the running set, and forwards the running set into the callee's
-//!   entry summary `in(g)` (param→sink propagation).
-//!
-//! `out(f)` is the set of elements *originating in `f`'s own transitive
-//! computation* that are live at the end of the body; param-inherited
-//! taint (`in(f)`) is **not** re-exported through `out(f)`. This cuts the
-//! param→return direction (a documented under-approximation, see
-//! ARCHITECTURE.md) but keeps param→sink exact, and prevents the
-//! over-approximate name resolution from flooding the workspace: without
-//! the cut, taint entering any fn named `len`/`get`/`now` via a method
-//! call would flow back out to every caller of that name.
-//!
-//! A sink's exposure is `in(sink) ∪ out(sink)`. Every element carries a
-//! representative chain of [`Hop`]s (first discovery wins; node order is
-//! deterministic, so the chain is too), reported file:line per hop.
-//!
-//! # Certificates
-//!
-//! Each declared sink has a row in [`CERT_PATH`]: `clean` or `tainted:N`
-//! (N = distinct source sites reaching it). The ratchet fails on any new
-//! sink, any `clean → tainted` transition, and any increase in N —
-//! regeneration must be deliberate (`--update-baselines`), exactly like
-//! the WCET certificates.
-//!
-//! # Approximations
-//!
-//! Over-approximate (false positives possible): call resolution is
-//! name/arity-based, so one tainted caller of `.record(…)` taints every
-//! workspace `record`; sink exposure inherits that. Under-approximate
-//! (documented holes): sanitizer events kill the *whole* running set, not
-//! just the sorted value; param→return flow is cut (see above); taint
-//! through struct fields, globals, or closures the parser cannot see is
-//! invisible. Waivers are load-bearing and require a reason.
+//! The lexical rules in [`crate::rules`] flag a `HashMap` where it is
+//! written; this pass asks whether a nondeterminism source can reach a
+//! serialized output: a fn marked `// hcperf-lint: det-sink(<name>)`.
+//! A taint element is a source site `(path, line, pattern)`. Each body is
+//! scanned in offset order: a source adds its site (unless waived with
+//! `allow(det-flow)`), a sanitizer (`BTree*` rebuild, `sort*`, a call to
+//! a `det-sanitizer` fn) clears the running set, and a call imports the
+//! callee's `out` summary and forwards the running set into its `in`
+//! summary. `out(f)` excludes param-inherited taint: that cuts
+//! param→return flow, which over name-based resolution would flood every
+//! caller of a common name, but keeps param→sink exact. Sets only grow
+//! over a finite key space, so the fixpoint terminates. A sink's exposure
+//! is `in ∪ out`, certified as a `det-flow` row of
+//! [`crate::ratchet::RATCHET_PATH`]; each element keeps the first-found
+//! chain of [`Hop`]s. `docs/ARCHITECTURE.md` lists the approximations.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 
-use crate::callgraph::CallGraph;
-use crate::hotpath::{pattern_offsets, waiver_covers};
-use crate::parse::{parse_file_marked, LineIndex, ParsedFile};
-use crate::report::{exit, Finding, Hop, Rule};
-use crate::workspace::{load_sources, SourceFile, DETERMINISTIC_CRATES};
-
-/// Checked-in per-sink certificate file, ratcheted like the WCET file.
-pub const CERT_PATH: &str = "crates/lint/detflow_certificates.txt";
-
-/// Roots scanned *in addition to* [`DETERMINISTIC_CRATES`]: the sinks
-/// live in the harness/store/cli/bench layers. These are optional so
-/// fixture workspaces without every crate still analyze.
-pub const EXTRA_ROOTS: [&str; 5] = [
-    "crates/harness/src",
-    "crates/store/src",
-    "crates/cli/src",
-    "crates/bench/src",
-    "src",
-];
+use crate::ratchet::{Analysis, Comparison, Rows, Value, RATCHET_PATH};
+use crate::report::{json_escape, sort_findings, Finding, Hop, Rule, Section};
+use crate::source::Words;
+use crate::workspace::Scope;
 
 /// The kind of nondeterminism a source pattern introduces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -196,191 +135,23 @@ pub struct SinkRow {
     pub path: String,
     /// 1-based line of the sink `fn` keyword.
     pub line: usize,
+    /// Each source site reaching the sink: its kind and full chain (source
+    /// hop, call hops, sink hop), in source order. Empty = clean.
+    pub flows: Vec<(TaintKind, Vec<Hop>)>,
+}
+
+impl SinkRow {
     /// Distinct source sites reaching the sink (0 = clean).
-    pub taints: usize,
-}
-
-/// One complete source→…→sink flow.
-#[derive(Debug, Clone)]
-pub struct FlowRecord {
-    /// Sink name.
-    pub sink: String,
-    /// Sink fn path / decl line / qualified name.
-    pub sink_path: String,
-    /// 1-based line of the sink `fn` keyword.
-    pub sink_line: usize,
-    /// Qualified sink fn name.
-    pub sink_fn: String,
-    /// Taint kind of the source.
-    pub kind: TaintKind,
-    /// Full chain: source hop, intermediate call hops, sink hop.
-    pub chain: Vec<Hop>,
-}
-
-/// One certificate row's comparison against the checked-in file.
-#[derive(Debug, Clone)]
-pub struct DetDelta {
-    /// Sink name.
-    pub name: String,
-    /// Sink fn path.
-    pub path: String,
-    /// Certified taint count (`None` = sink is new).
-    pub baseline: Option<usize>,
-    /// Measured taint count (`None` = sink removed).
-    pub current: Option<usize>,
-}
-
-/// Outcome of the certificate ratchet comparison.
-#[derive(Debug, Default)]
-pub struct DetRatchet {
-    /// New sinks or sinks whose taint count grew (fails the run).
-    pub growth: Vec<DetDelta>,
-    /// Sinks whose count shrank or that disappeared (refresh the file).
-    pub shrink: Vec<DetDelta>,
-}
-
-impl DetRatchet {
-    /// True when no sink's exposure grew.
     #[must_use]
-    pub fn ok(&self) -> bool {
-        self.growth.is_empty()
+    pub fn taints(&self) -> usize {
+        self.flows.len()
     }
-}
-
-/// Result of the det-flow analysis.
-#[derive(Debug)]
-pub struct DetFlowReport {
-    /// Declared sinks, sorted by (name, path).
-    pub sinks: Vec<SinkRow>,
-    /// Every measured source→sink flow (certified ones included).
-    pub flows: Vec<FlowRecord>,
-    /// Unwaived findings: `det-sink` declaration problems, plus
-    /// `det-flow` growth findings when ratcheting.
-    pub findings: Vec<Finding>,
-    /// Waived source sites with their reasons.
-    pub waived: Vec<Finding>,
-    /// Certificate comparison; `None` when regenerating.
-    pub ratchet: Option<DetRatchet>,
-    /// `.rs` files parsed.
-    pub files_scanned: usize,
-    /// Functions in the call graph.
-    pub fns_analyzed: usize,
-}
-
-impl DetFlowReport {
-    /// Exit code: declaration problems are `FINDINGS`; exposure growth
-    /// alone is `RATCHET` (mirrors the WCET certificate gate).
-    #[must_use]
-    pub fn exit_code(&self) -> i32 {
-        if self.findings.iter().any(|f| f.rule != Rule::DetFlow) {
-            exit::FINDINGS
-        } else if self.ratchet.as_ref().is_some_and(|r| !r.ok()) {
-            exit::RATCHET
-        } else {
-            exit::CLEAN
-        }
-    }
-}
-
-/// Parses the `sink<TAB>status<TAB>path` certificate format, where
-/// `status` is `clean` or `tainted:<N>`.
-///
-/// # Errors
-///
-/// Returns a message describing the first malformed row.
-pub fn parse_certs(text: &str) -> Result<BTreeMap<(String, String), usize>, String> {
-    let mut map = BTreeMap::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, '\t');
-        let (Some(name), Some(status), Some(path)) = (parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!(
-                "det-flow certificates line {}: expected `sink<TAB>status<TAB>path`",
-                idx + 1
-            ));
-        };
-        let count = match status.trim() {
-            "clean" => 0,
-            s => match s.strip_prefix("tainted:").and_then(|n| n.parse().ok()) {
-                Some(n) if n > 0 => n,
-                _ => {
-                    return Err(format!(
-                        "det-flow certificates line {}: bad status `{status}`",
-                        idx + 1
-                    ))
-                }
-            },
-        };
-        map.insert((name.trim().to_owned(), path.trim().to_owned()), count);
-    }
-    Ok(map)
-}
-
-/// Renders the certificate file from measured rows.
-#[must_use]
-pub fn render_certs(rows: &[SinkRow]) -> String {
-    let mut out = String::from(
-        "# hcperf-lint det-flow certificates: per-sink determinism-taint\n\
-         # exposure, measured by the interprocedural source->sink dataflow.\n\
-         # Rows are `sink<TAB>status<TAB>path` where status is `clean` or\n\
-         # `tainted:<N>` (N distinct source sites). The ratchet rejects any\n\
-         # new sink or exposure increase; regenerate deliberately with\n\
-         # `cargo run -p hcperf-lint -- --update-baselines`.\n",
-    );
-    for r in rows {
-        let status = if r.taints == 0 {
-            "clean".to_owned()
-        } else {
-            format!("tainted:{}", r.taints)
-        };
-        out.push_str(&format!("{}\t{status}\t{}\n", r.name, r.path));
-    }
-    out
-}
-
-/// Compares measured sink rows against the checked-in certificates.
-#[must_use]
-pub fn compare(rows: &[SinkRow], baseline: &BTreeMap<(String, String), usize>) -> DetRatchet {
-    let mut ratchet = DetRatchet::default();
-    let mut seen = BTreeMap::new();
-    for r in rows {
-        let key = (r.name.clone(), r.path.clone());
-        seen.insert(key.clone(), ());
-        let base = baseline.get(&key).copied();
-        let delta = DetDelta {
-            name: r.name.clone(),
-            path: r.path.clone(),
-            baseline: base,
-            current: Some(r.taints),
-        };
-        match base {
-            None => ratchet.growth.push(delta),
-            Some(b) if r.taints > b => ratchet.growth.push(delta),
-            Some(b) if r.taints < b => ratchet.shrink.push(delta),
-            _ => {}
-        }
-    }
-    for (key, &base) in baseline {
-        if !seen.contains_key(key) {
-            ratchet.shrink.push(DetDelta {
-                name: key.0.clone(),
-                path: key.1.clone(),
-                baseline: Some(base),
-                current: None,
-            });
-        }
-    }
-    ratchet
 }
 
 /// One body event, ordered by byte offset. At equal offsets sanitizers
 /// apply before sources, and both before calls (variant order).
 #[derive(Debug)]
-enum Ev {
+enum Ev<'a> {
     Clean,
     Source {
         line: usize,
@@ -389,40 +160,28 @@ enum Ev {
     },
     Call {
         line: usize,
-        callees: Vec<usize>,
-        name: String,
+        callees: &'a [usize],
+        name: &'a str,
     },
 }
 
-/// Analysis output before any baseline comparison.
+/// Result of the det-flow analysis.
 #[derive(Debug)]
-pub(crate) struct DetFlowAnalysis {
+pub struct DetFlow {
+    /// Declared sinks with their flows, sorted by (name, path).
     pub sinks: Vec<SinkRow>,
-    pub flows: Vec<FlowRecord>,
+    /// Unwaived `det-sink` declaration findings.
     pub findings: Vec<Finding>,
+    /// Waived source sites with their reasons.
     pub waived: Vec<Finding>,
+    /// Functions in the call graph.
     pub fns_analyzed: usize,
 }
 
-fn snippet_of(src: &SourceFile, line: usize) -> String {
-    src.raw
-        .lines()
-        .nth(line - 1)
-        .map_or("", str::trim)
-        .to_owned()
-}
-
-/// Core analysis over already-loaded sources (separated from
-/// [`run_detflow`] so tests can drive it with synthetic files).
-pub(crate) fn analyze(sources: &[SourceFile]) -> DetFlowAnalysis {
-    let parsed: Vec<ParsedFile> =
-        crate::par::map(sources, |s| parse_file_marked(&s.rel, &s.masked));
-    let graph = CallGraph::build(&parsed);
-    let by_rel: BTreeMap<&str, &SourceFile> = sources.iter().map(|s| (s.rel.as_str(), s)).collect();
-    let lines_of: BTreeMap<&str, LineIndex> = sources
-        .iter()
-        .map(|s| (s.rel.as_str(), LineIndex::new(&s.masked.masked)))
-        .collect();
+/// Flows every unwaived source over the scope's call graph to its sinks.
+#[must_use]
+pub fn analyze(scope: &Scope<'_>) -> DetFlow {
+    let graph = &scope.graph;
 
     let mut findings = Vec::new();
     let mut waived = Vec::new();
@@ -430,7 +189,7 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> DetFlowAnalysis {
     // 1. Declaration checks: every marker must attach to a fn; sink names
     //    must be globally unique so certificate rows are addressable.
     let mut names_seen: BTreeMap<&str, (&str, usize)> = BTreeMap::new();
-    for src in sources {
+    for &src in &scope.files {
         let markers = src
             .masked
             .det_sinks
@@ -448,35 +207,21 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> DetFlowAnalysis {
                 .iter()
                 .any(|n| n.path == src.rel && mline < n.line && n.line <= mline + 3);
             if !attached {
-                findings.push(Finding {
-                    rule: Rule::DetSink,
-                    path: src.rel.clone(),
-                    line: mline,
-                    snippet: snippet_of(src, mline),
-                    message: format!(
-                        "`{what}({name})` marker does not attach to a `fn` item; the next \
-                         fn must start within 3 lines below the marker"
-                    ),
-                    waived: None,
-                    chain: Vec::new(),
-                });
+                let message = format!(
+                    "`{what}({name})` marker does not attach to a `fn` item; the next \
+                     fn must start within 3 lines below the marker"
+                );
+                findings.push(Finding::at(Rule::DetSink, src, mline, message));
             }
             if what == "det-sink" {
                 if let Some((first_path, first_line)) =
                     names_seen.insert(name.as_str(), (src.rel.as_str(), mline))
                 {
-                    findings.push(Finding {
-                        rule: Rule::DetSink,
-                        path: src.rel.clone(),
-                        line: mline,
-                        snippet: snippet_of(src, mline),
-                        message: format!(
-                            "duplicate det-sink name `{name}` (first declared at \
-                             {first_path}:{first_line}); sink names must be unique"
-                        ),
-                        waived: None,
-                        chain: Vec::new(),
-                    });
+                    let message = format!(
+                        "duplicate det-sink name `{name}` (first declared at \
+                         {first_path}:{first_line}); sink names must be unique"
+                    );
+                    findings.push(Finding::at(Rule::DetSink, src, mline, message));
                 }
             }
         }
@@ -485,54 +230,48 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> DetFlowAnalysis {
     // 2. Per-node event lists, offset-ordered. Waived sources are recorded
     //    and excluded before propagation — the waiver is load-bearing.
     let n = graph.nodes.len();
+    let sources = Words::new(SOURCES.iter().map(|s| s.0));
+    let sanitizers = Words::new(SANITIZERS.iter().copied());
     let mut events: Vec<Vec<(usize, Ev)>> = Vec::with_capacity(n);
     for (i, node) in graph.nodes.iter().enumerate() {
         let mut evs: Vec<(usize, Ev)> = Vec::new();
-        let (Some(body), Some(src)) = (node.body, by_rel.get(node.path.as_str())) else {
+        let Some(body) = node.body else {
             events.push(evs);
             continue;
         };
+        let src = scope.file_of(i);
         if node.sanitizer {
             // Trusted fn: body not scanned, summary forced empty.
             events.push(evs);
             continue;
         }
-        let lines = &lines_of[node.path.as_str()];
-        for &(pat, kind) in SOURCES {
-            if source_exempt(&node.path, kind) {
-                continue;
-            }
-            for at in pattern_offsets(&src.masked.masked, body, pat) {
-                let line = lines.line_of(at);
-                match waiver_covers(&src.masked.waivers, Rule::DetFlow, line) {
-                    Some(reason) => waived.push(Finding {
-                        rule: Rule::DetFlow,
-                        path: node.path.clone(),
-                        line,
-                        snippet: snippet_of(src, line),
-                        message: format!(
+        for (k, at) in sources.find(&src.masked.masked, body) {
+            let (pat, kind) = SOURCES[k];
+            if !source_exempt(&node.path, kind) {
+                let line = src.masked.lines.line_of(at);
+                match src.masked.waiver(Rule::DetFlow, line) {
+                    Some(reason) => {
+                        let what = format!(
                             "nondeterminism source `{pat}` ({}) waived at the site",
                             kind.describe()
-                        ),
-                        waived: Some(reason),
-                        chain: Vec::new(),
-                    }),
+                        );
+                        waived
+                            .push(Finding::at(Rule::DetFlow, src, line, what).waived(Some(reason)));
+                    }
                     None => evs.push((at, Ev::Source { line, pat, kind })),
                 }
             }
         }
-        for pat in SANITIZERS {
-            for at in pattern_offsets(&src.masked.masked, body, pat) {
-                evs.push((at, Ev::Clean));
-            }
+        for (_, at) in sanitizers.find(&src.masked.masked, body) {
+            evs.push((at, Ev::Clean));
         }
         for se in &graph.sites[i] {
             evs.push((
                 se.site.offset,
                 Ev::Call {
                     line: se.site.line,
-                    callees: se.callees.clone(),
-                    name: se.site.name.clone(),
+                    callees: &se.callees,
+                    name: &se.site.name,
                 },
             ));
         }
@@ -591,7 +330,7 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> DetFlowAnalysis {
                             run.clear();
                             continue;
                         }
-                        for &g in callees {
+                        for &g in *callees {
                             for (k, t) in &outs[g] {
                                 if !run.contains_key(k) {
                                     let mut t = t.clone();
@@ -607,7 +346,7 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> DetFlowAnalysis {
                                 }
                             }
                         }
-                        for &g in callees {
+                        for &g in *callees {
                             for (k, (t, _)) in &run {
                                 if !ins[g].contains_key(k) {
                                     let mut t = t.clone();
@@ -639,170 +378,167 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> DetFlowAnalysis {
         }
     }
 
-    // 4. Sink exposure = in ∪ out, rendered as rows + full flow chains.
+    // 4. Sink exposure = in ∪ out, each element with its full chain.
     let mut sinks = Vec::new();
-    let mut flows = Vec::new();
     for (i, node) in graph.nodes.iter().enumerate() {
         let Some(name) = &node.sink else { continue };
         let mut exposure: Set = ins[i].clone();
         for (k, t) in &outs[i] {
             exposure.entry(k.clone()).or_insert_with(|| t.clone());
         }
+        let sink_hop = Hop {
+            path: node.path.clone(),
+            line: node.line,
+            what: format!("det-sink({name}) `{}`", node.qualified()),
+        };
+        let flows = exposure.into_values().map(|t| {
+            let mut chain = vec![t.source];
+            chain.extend(t.chain);
+            chain.push(sink_hop.clone());
+            (t.kind, chain)
+        });
         sinks.push(SinkRow {
             name: name.clone(),
             fn_name: node.qualified(),
             path: node.path.clone(),
             line: node.line,
-            taints: exposure.len(),
+            flows: flows.collect(),
         });
-        for t in exposure.values() {
-            let mut chain = vec![t.source.clone()];
-            chain.extend(t.chain.iter().cloned());
-            chain.push(Hop {
-                path: node.path.clone(),
-                line: node.line,
-                what: format!("det-sink({name}) `{}`", node.qualified()),
-            });
-            flows.push(FlowRecord {
-                sink: name.clone(),
-                sink_path: node.path.clone(),
-                sink_line: node.line,
-                sink_fn: node.qualified(),
-                kind: t.kind,
-                chain,
-            });
-        }
     }
     sinks.sort_by(|a, b| (&a.name, &a.path).cmp(&(&b.name, &b.path)));
-    flows.sort_by(|a, b| {
-        (&a.sink, &a.sink_path, &a.chain[0].path, a.chain[0].line).cmp(&(
-            &b.sink,
-            &b.sink_path,
-            &b.chain[0].path,
-            b.chain[0].line,
-        ))
-    });
-    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    sort_findings(&mut findings);
     waived.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
 
-    DetFlowAnalysis {
+    DetFlow {
         sinks,
-        flows,
         findings,
         waived,
         fns_analyzed: n,
     }
 }
 
-/// Runs the det-flow analysis over the workspace rooted at `root`.
-///
-/// When `against_baseline` is true, per-sink exposure is compared to
-/// [`CERT_PATH`]; growth produces [`Rule::DetFlow`] findings anchored at
-/// the sink's declaration line, each carrying the full interprocedural
-/// chain. A missing certificate file is an error so CI cannot silently
-/// skip the gate.
-///
-/// # Errors
-///
-/// Propagates I/O failures and certificate-format problems.
-pub fn run_detflow(root: &Path, against_baseline: bool) -> io::Result<DetFlowReport> {
-    let mut sources = load_sources(root, &DETERMINISTIC_CRATES, true)?;
-    sources.extend(load_sources(root, &EXTRA_ROOTS, false)?);
-    sources.sort_by(|a, b| a.rel.cmp(&b.rel));
-    let files_scanned = sources.len();
-    let mut analysis = analyze(&sources);
-
-    let mut ratchet = None;
-    if against_baseline {
-        let path = root.join(CERT_PATH);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!(
-                    "cannot read det-flow certificates {}: {e}; bootstrap with --update-baselines",
-                    path.display()
-                ),
+impl DetFlow {
+    /// The `det-flow` ratchet rows: one exposure certificate per sink.
+    #[must_use]
+    pub fn rows(&self) -> Rows {
+        let row = |s: &SinkRow| {
+            (
+                (Analysis::DetFlow, s.name.clone(), s.path.clone()),
+                Value::Taints(s.taints()),
             )
-        })?;
-        let baseline =
-            parse_certs(&text).map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?;
-        let cmp = compare(&analysis.sinks, &baseline);
-        let by_rel: BTreeMap<&str, &SourceFile> =
-            sources.iter().map(|s| (s.rel.as_str(), s)).collect();
+        };
+        self.sinks.iter().map(row).collect()
+    }
+
+    /// The `det_flow` section: exposure growth becomes one
+    /// [`Rule::DetFlow`] finding per flow into the grown sink, anchored at
+    /// the sink's declaration and carrying the full chain.
+    #[must_use]
+    pub fn section(self, cmp: &Comparison, scope: &Scope<'_>) -> Section {
+        let cmp = cmp.of(Analysis::DetFlow);
+        let mut findings = self.findings;
         for g in &cmp.growth {
-            for flow in analysis
-                .flows
+            let certified = g
+                .baseline
+                .map_or_else(|| "nothing (new sink)".to_owned(), Value::render);
+            let sink = self
+                .sinks
                 .iter()
-                .filter(|f| f.sink == g.name && f.sink_path == g.path)
-            {
-                let src_hop = &flow.chain[0];
-                let snippet = by_rel
-                    .get(g.path.as_str())
-                    .map_or_else(String::new, |s| snippet_of(s, flow.sink_line));
-                analysis.findings.push(Finding {
-                    rule: Rule::DetFlow,
-                    path: g.path.clone(),
-                    line: flow.sink_line,
-                    snippet,
-                    message: format!(
-                        "{} from {} at {}:{} reaches det-sink({}) `{}`, certified {} in \
-                         {CERT_PATH}; sanitize before emission (BTree rebuild / sort / \
-                         index-tagged merge), waive at the source with \
-                         `hcperf-lint: allow(det-flow)` and a reason, or regenerate \
-                         certificates deliberately with --update-baselines",
-                        flow.kind.describe(),
-                        src_hop.what,
-                        src_hop.path,
-                        src_hop.line,
-                        g.name,
-                        flow.sink_fn,
-                        g.baseline.map_or_else(
-                            || "nothing (new sink)".to_owned(),
-                            |b| if b == 0 {
-                                "clean".to_owned()
-                            } else {
-                                format!("tainted:{b}")
-                            }
-                        ),
-                    ),
-                    waived: None,
-                    chain: flow.chain.clone(),
+                .find(|s| s.name == g.name() && s.path == g.path());
+            for (kind, chain) in sink.iter().flat_map(|s| &s.flows) {
+                let src_hop = &chain[0];
+                let message = format!(
+                    "{} from {} at {}:{} reaches det-sink({}) `{}`, certified {certified} in \
+                     {RATCHET_PATH}; sanitize before emission (BTree rebuild / sort / \
+                     index-tagged merge), waive at the source with \
+                     `hcperf-lint: allow(det-flow)` and a reason, or regenerate \
+                     certificates deliberately with --update-baselines",
+                    kind.describe(),
+                    src_hop.what,
+                    src_hop.path,
+                    src_hop.line,
+                    g.name(),
+                    sink.map_or("", |s| s.fn_name.as_str()),
+                );
+                let line = sink.map_or(1, |s| s.line);
+                findings.push(Finding {
+                    chain: chain.clone(),
+                    ..scope.finding(Rule::DetFlow, g.path(), line, message)
                 });
             }
         }
-        analysis
-            .findings
-            .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-        ratchet = Some(cmp);
-    }
+        sort_findings(&mut findings);
 
-    Ok(DetFlowReport {
-        sinks: analysis.sinks,
-        flows: analysis.flows,
-        findings: analysis.findings,
-        waived: analysis.waived,
-        ratchet,
-        files_scanned,
-        fns_analyzed: analysis.fns_analyzed,
-    })
+        let clean = self.sinks.iter().filter(|s| s.taints() == 0).count();
+        let flows: usize = self.sinks.iter().map(SinkRow::taints).sum();
+        let status = |s: &SinkRow| Value::Taints(s.taints()).render();
+        let sinks: Vec<String> = self
+            .sinks
+            .iter()
+            .map(|s| {
+                format!(
+                    "{{\"sink\":\"{}\",\"fn\":\"{}\",\"path\":\"{}\",\"line\":{},\"taints\":{},\"status\":\"{}\"}}",
+                    json_escape(&s.name),
+                    json_escape(&s.fn_name),
+                    json_escape(&s.path),
+                    s.line,
+                    s.taints(),
+                    status(s),
+                )
+            })
+            .collect();
+        let mut lines: Vec<String> = self
+            .sinks
+            .iter()
+            .map(|s| {
+                format!(
+                    "sink {:<24} {:<12} {} @ {}:{}",
+                    s.name,
+                    status(s),
+                    s.fn_name,
+                    s.path,
+                    s.line
+                )
+            })
+            .collect();
+        lines.push(format!(
+            "hcperf-lint det-flow: {} sinks ({clean} clean), {} flows, {} fns, {} findings, {} waived",
+            self.sinks.len(),
+            flows,
+            self.fns_analyzed,
+            findings.len(),
+            self.waived.len(),
+        ));
+        let mut section = Section::new("det_flow", findings, self.waived, Some(cmp));
+        section.json = vec![
+            format!("\"sinks\":[{}]", sinks.join(",")),
+            format!("\"flows\":{flows}"),
+            format!("\"fns_analyzed\":{}", self.fns_analyzed),
+        ];
+        section.lines = lines;
+        section
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::mask;
+    use crate::ratchet::{compare, parse, render};
+    use crate::workspace::SourceFile;
 
-    fn src_file(rel: &str, raw: &str) -> SourceFile {
-        SourceFile {
-            rel: rel.to_owned(),
-            raw: raw.to_owned(),
-            masked: mask(raw),
-        }
+    fn analyze_src(rel: &str, raw: &str) -> DetFlow {
+        let tree = if rel.starts_with("crates/bench/") {
+            "crates/bench/src"
+        } else {
+            "crates/core/src"
+        };
+        let file = SourceFile::new(rel, tree, raw.to_owned());
+        analyze(&Scope::new([&file]))
     }
 
     #[test]
     fn taint_flows_through_helper_with_three_hop_chain() {
-        let src = src_file(
+        let a = analyze_src(
             "crates/core/src/lib.rs",
             "\
 use std::collections::HashMap;
@@ -820,11 +556,9 @@ fn emit() {
 }
 ",
         );
-        let a = analyze(&[src]);
         assert_eq!(a.sinks.len(), 1);
-        assert_eq!(a.sinks[0].taints, 1, "{:?}", a.flows);
-        assert_eq!(a.flows.len(), 1);
-        let chain = &a.flows[0].chain;
+        assert_eq!(a.sinks[0].taints(), 1, "{:?}", a.sinks);
+        let chain = &a.sinks[0].flows[0].1;
         // source (gather:3) -> shape's call (7) -> emit's call (11) -> sink decl (10)
         assert_eq!(chain[0].line, 3, "{chain:?}");
         assert!(chain[0].what.contains("HashMap"));
@@ -836,7 +570,7 @@ fn emit() {
 
     #[test]
     fn param_taint_reaches_sink_through_callee() {
-        let src = src_file(
+        let a = analyze_src(
             "crates/core/src/lib.rs",
             "\
 // hcperf-lint: det-sink(out)
@@ -853,9 +587,12 @@ fn produce() {
 }
 ",
         );
-        let a = analyze(&[src]);
-        assert_eq!(a.sinks[0].taints, 1, "{:?}", a.flows);
-        let whats: Vec<&str> = a.flows[0].chain.iter().map(|h| h.what.as_str()).collect();
+        assert_eq!(a.sinks[0].taints(), 1, "{:?}", a.sinks);
+        let whats: Vec<&str> = a.sinks[0].flows[0]
+            .1
+            .iter()
+            .map(|h| h.what.as_str())
+            .collect();
         assert!(
             whats.iter().any(|w| w.contains("passed into `forward`")),
             "{whats:?}"
@@ -868,7 +605,7 @@ fn produce() {
 
     #[test]
     fn sort_unstable_kills_taint_before_sink() {
-        let src = src_file(
+        let a = analyze_src(
             "crates/core/src/lib.rs",
             "\
 use std::collections::HashMap;
@@ -885,9 +622,8 @@ fn emit() {
 }
 ",
         );
-        let a = analyze(&[src]);
-        assert_eq!(a.sinks[0].taints, 0, "{:?}", a.flows);
-        assert!(a.flows.is_empty());
+        assert_eq!(a.sinks[0].taints(), 0, "{:?}", a.sinks);
+        assert!(a.sinks[0].flows.is_empty());
     }
 
     #[test]
@@ -906,8 +642,13 @@ fn emit(rx: Receiver<u32>) {
     drop(v);
 }
 ";
-        let a = analyze(&[src_file("crates/core/src/lib.rs", tainted)]);
-        assert_eq!(a.sinks[0].taints, 1, "recv order must taint: {:?}", a.flows);
+        let a = analyze_src("crates/core/src/lib.rs", tainted);
+        assert_eq!(
+            a.sinks[0].taints(),
+            1,
+            "recv order must taint: {:?}",
+            a.sinks
+        );
 
         let merged = "\
 // hcperf-lint: det-sanitizer(index-tagged-merge)
@@ -924,13 +665,13 @@ fn emit(rx: Receiver<u32>) {
     drop(v);
 }
 ";
-        let a = analyze(&[src_file("crates/core/src/lib.rs", merged)]);
-        assert_eq!(a.sinks[0].taints, 0, "{:?}", a.flows);
+        let a = analyze_src("crates/core/src/lib.rs", merged);
+        assert_eq!(a.sinks[0].taints(), 0, "{:?}", a.sinks);
     }
 
     #[test]
     fn waived_source_is_excluded_with_reason() {
-        let src = src_file(
+        let a = analyze_src(
             "crates/core/src/lib.rs",
             "\
 // hcperf-lint: det-sink(out)
@@ -940,8 +681,7 @@ fn emit() {
 }
 ",
         );
-        let a = analyze(&[src]);
-        assert_eq!(a.sinks[0].taints, 0, "{:?}", a.flows);
+        assert_eq!(a.sinks[0].taints(), 0, "{:?}", a.sinks);
         assert_eq!(a.waived.len(), 1);
         assert_eq!(
             a.waived[0].waived.as_deref(),
@@ -951,7 +691,7 @@ fn emit() {
 
     #[test]
     fn unattached_marker_and_duplicate_name_are_findings() {
-        let src = src_file(
+        let a = analyze_src(
             "crates/core/src/lib.rs",
             "\
 // hcperf-lint: det-sink(orphan)
@@ -964,7 +704,6 @@ fn a() {}
 fn b() {}
 ",
         );
-        let a = analyze(&[src]);
         let msgs: Vec<&str> = a.findings.iter().map(|f| f.message.as_str()).collect();
         assert_eq!(a.findings.len(), 2, "{msgs:?}");
         assert!(msgs[0].contains("does not attach"), "{msgs:?}");
@@ -976,43 +715,40 @@ fn b() {}
 
     #[test]
     fn certs_round_trip_and_ratchet_on_growth() {
-        let rows = vec![
-            SinkRow {
-                name: "a".into(),
-                fn_name: "f".into(),
-                path: "p.rs".into(),
-                line: 1,
-                taints: 0,
-            },
-            SinkRow {
-                name: "b".into(),
-                fn_name: "g".into(),
-                path: "q.rs".into(),
-                line: 2,
-                taints: 2,
-            },
-        ];
-        let text = render_certs(&rows);
-        let parsed = parse_certs(&text).unwrap();
-        assert_eq!(parsed[&("a".to_owned(), "p.rs".to_owned())], 0);
-        assert_eq!(parsed[&("b".to_owned(), "q.rs".to_owned())], 2);
-        assert!(compare(&rows, &parsed).ok());
+        // A HashMap gathered into the sink, optionally sorted first.
+        let flow = |sort: &str| {
+            let src = format!(
+                "fn gather() -> Vec<u32> {{\n    let m = std::collections::HashMap::<u32, u32>::new();\n    \
+                 let mut v: Vec<u32> = m.into_values().collect();\n    {sort}\n    v\n}}\n\
+                 // hcperf-lint: det-sink(out)\nfn emit() {{\n    let v = gather();\n    drop(v);\n}}\n"
+            );
+            analyze_src("crates/core/src/lib.rs", &src)
+        };
+        let recorded = flow("v.sort_unstable();").rows();
+        assert_eq!(recorded.values().next(), Some(&Value::Taints(0)));
+        assert_eq!(parse(&render(&recorded)).unwrap(), recorded);
 
-        // clean -> tainted trips growth; shrink is reported, not fatal.
-        let mut grown = rows.clone();
-        grown[0].taints = 1;
-        grown[1].taints = 1;
-        let r = compare(&grown, &parsed);
-        assert_eq!(r.growth.len(), 1);
-        assert_eq!(r.growth[0].name, "a");
-        assert_eq!(r.shrink.len(), 1);
-        assert!(!r.ok());
+        // clean -> tainted trips growth with the chain attached.
+        let tainted = flow("");
+        let tainted_rows = tainted.rows();
+        let cmp = compare(&tainted_rows, &recorded);
+        assert_eq!(cmp.growth.len(), 1);
+        assert_eq!(cmp.growth[0].name(), "out");
+        let file = SourceFile::new("crates/core/src/lib.rs", "crates/core/src", String::new());
+        let section = tainted.section(&cmp, &Scope::new([&file]));
+        assert_eq!(section.exit_code, crate::report::exit::RATCHET);
+        assert_eq!(section.findings.len(), 1);
+        assert_eq!(section.findings[0].line, 8, "sink declaration");
+        assert!(section.findings[0].message.contains("certified clean"));
+        assert_eq!(section.findings[0].chain.len(), 3);
 
-        // a new sink is growth (must be blessed deliberately).
-        let r = compare(&rows, &BTreeMap::new());
-        assert_eq!(r.growth.len(), 2);
-        assert!(parse_certs("x\tbogus\tp.rs\n").is_err());
-        assert!(parse_certs("x\ttainted:0\tp.rs\n").is_err());
+        // tainted -> clean is shrink; a new sink is growth.
+        let cmp = compare(&recorded, &tainted_rows);
+        assert!(cmp.growth.is_empty());
+        assert_eq!(cmp.shrink.len(), 1);
+        assert_eq!(compare(&recorded, &Rows::new()).growth.len(), 1);
+        assert!(parse("det-flow\tx\tbogus\tp.rs\n").is_err());
+        assert!(parse("det-flow\tx\ttainted:0\tp.rs\n").is_err());
     }
 
     #[test]
@@ -1024,9 +760,9 @@ fn emit() {
     drop(t);
 }
 ";
-        let a = analyze(&[src_file("crates/bench/src/lib.rs", body)]);
-        assert_eq!(a.sinks[0].taints, 0, "{:?}", a.flows);
-        let a = analyze(&[src_file("crates/core/src/lib.rs", body)]);
-        assert_eq!(a.sinks[0].taints, 1, "{:?}", a.flows);
+        let a = analyze_src("crates/bench/src/lib.rs", body);
+        assert_eq!(a.sinks[0].taints(), 0, "{:?}", a.sinks);
+        let a = analyze_src("crates/core/src/lib.rs", body);
+        assert_eq!(a.sinks[0].taints(), 1, "{:?}", a.sinks);
     }
 }

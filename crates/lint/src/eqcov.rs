@@ -18,28 +18,15 @@
 //! naming an equation outside 1–14 is an orphan and fails the gate.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 
-use crate::report::{exit, Finding, Rule};
-use crate::workspace::{load_sources, SourceFile, DETERMINISTIC_CRATES};
+use crate::report::{Finding, Rule, Section};
+use crate::source::is_ident_byte;
+use crate::workspace::{SourceFile, DETERMINISTIC_CRATES, TEST_ROOTS};
 
 /// Equations the paper defines.
 pub const KNOWN: std::ops::RangeInclusive<u32> = 1..=14;
 /// Equations the coverage gate requires (implementation + test).
 pub const REQUIRED: std::ops::RangeInclusive<u32> = 2..=12;
-
-/// Per-crate `tests/` trees and the umbrella integration tests, scanned as
-/// test sites alongside `#[cfg(test)]` modules inside `src/`.
-const TEST_ROOTS: [&str; 7] = [
-    "crates/taskgraph/tests",
-    "crates/rtsim/tests",
-    "crates/control/tests",
-    "crates/vehicle/tests",
-    "crates/scenarios/tests",
-    "crates/core/tests",
-    "tests",
-];
 
 /// One harvested `Eq. N` tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,33 +51,11 @@ pub struct EqCoverage {
     pub test_sites: Vec<EqSite>,
 }
 
-/// Result of the coverage analysis.
-#[derive(Debug)]
-pub struct EqCovReport {
-    /// Coverage per tagged equation number.
-    pub per_eq: BTreeMap<u32, EqCoverage>,
-    /// Gate failures: required equations missing impl or test coverage,
-    /// plus orphaned tags.
-    pub findings: Vec<Finding>,
-    /// Number of `.rs` files scanned.
-    pub files_scanned: usize,
-}
-
-impl EqCovReport {
-    /// The process exit code this report maps to.
-    #[must_use]
-    pub fn exit_code(&self) -> i32 {
-        if self.findings.is_empty() {
-            exit::CLEAN
-        } else {
-            exit::FINDINGS
-        }
-    }
-}
-
 /// Harvests every `Eq. N` tag (ranges expanded) from one file's comments.
+/// Tags in a [`TEST_ROOTS`] file or a `#[cfg(test)]` module are test sites.
 #[must_use]
-pub fn harvest(src: &SourceFile, file_is_test: bool) -> Vec<EqSite> {
+pub fn harvest(src: &SourceFile) -> Vec<EqSite> {
+    let file_is_test = src.in_tree(&TEST_ROOTS);
     let bytes = src.raw.as_bytes();
     let mut sites = Vec::new();
     for &(start, end) in &src.masked.comment_spans {
@@ -112,7 +77,7 @@ pub fn harvest(src: &SourceFile, file_is_test: bool) -> Vec<EqSite> {
             }
             let hi = parse_range_end(span, upto).unwrap_or(lo);
             from = upto;
-            let line = 1 + src.raw[..at].matches('\n').count();
+            let line = src.masked.lines.line_of(at);
             let is_test = file_is_test
                 || src
                     .masked
@@ -132,10 +97,6 @@ pub fn harvest(src: &SourceFile, file_is_test: bool) -> Vec<EqSite> {
         }
     }
     sites
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Parses the digits after `Eq.` (skipping spaces); returns the number and
@@ -164,24 +125,17 @@ fn parse_range_end(span: &str, from: usize) -> Option<u32> {
     parse_number(span, offset).map(|(n, _)| n)
 }
 
-/// Runs the coverage analysis over the workspace rooted at `root`.
-///
-/// # Errors
-///
-/// Propagates I/O failures from walking the source trees.
-pub fn run_eq_coverage(root: &Path) -> io::Result<EqCovReport> {
-    let impl_sources = load_sources(root, &DETERMINISTIC_CRATES, true)?;
-    let test_sources = load_sources(root, &TEST_ROOTS, false)?;
-
+/// The `eq_coverage` section over the deterministic crates (implementation
+/// sites) and the test trees.
+#[must_use]
+pub fn analyze(files: &[SourceFile]) -> Section {
     let mut per_eq: BTreeMap<u32, EqCoverage> = BTreeMap::new();
     let mut orphans: Vec<EqSite> = Vec::new();
-    let files_scanned = impl_sources.len() + test_sources.len();
-    for (src, file_is_test) in impl_sources
+    let scanned = files
         .iter()
-        .map(|s| (s, false))
-        .chain(test_sources.iter().map(|s| (s, true)))
-    {
-        for site in harvest(src, file_is_test) {
+        .filter(|f| f.in_tree(&DETERMINISTIC_CRATES) || f.in_tree(&TEST_ROOTS));
+    for src in scanned {
+        for site in harvest(src) {
             if !KNOWN.contains(&site.eq) {
                 orphans.push(site);
                 continue;
@@ -237,11 +191,28 @@ pub fn run_eq_coverage(root: &Path) -> io::Result<EqCovReport> {
     }
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
 
-    Ok(EqCovReport {
-        per_eq,
-        findings,
-        files_scanned,
-    })
+    let ok = |c: &EqCoverage| !c.impl_sites.is_empty() && !c.test_sites.is_empty();
+    let rows: Vec<String> = per_eq
+        .iter()
+        .map(|(eq, c)| {
+            format!(
+                "{{\"eq\":{eq},\"impl_sites\":{},\"test_sites\":{},\"ok\":{}}}",
+                c.impl_sites.len(),
+                c.test_sites.len(),
+                ok(c)
+            )
+        })
+        .collect();
+    let summary = format!(
+        "hcperf-lint eq-coverage: {}/{} tracked equations covered, {} findings",
+        per_eq.values().filter(|c| ok(c)).count(),
+        per_eq.len(),
+        findings.len(),
+    );
+    let mut section = Section::new("eq_coverage", findings, Vec::new(), None);
+    section.json = vec![format!("\"equations\":[{}]", rows.join(","))];
+    section.lines.push(summary);
+    section
 }
 
 fn eq_finding(eq: u32, site: Option<&EqSite>, message: String) -> Finding {
@@ -259,14 +230,9 @@ fn eq_finding(eq: u32, site: Option<&EqSite>, message: String) -> Finding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::mask;
 
     fn file(rel: &str, raw: &str) -> SourceFile {
-        SourceFile {
-            rel: rel.to_owned(),
-            raw: raw.to_owned(),
-            masked: mask(raw),
-        }
+        SourceFile::new(rel, "crates/core/src", raw.to_owned())
     }
 
     #[test]
@@ -279,10 +245,7 @@ mod tests {
 fn f() {}
 ",
         );
-        let eqs: Vec<(u32, usize)> = harvest(&src, false)
-            .iter()
-            .map(|s| (s.eq, s.line))
-            .collect();
+        let eqs: Vec<(u32, usize)> = harvest(&src).iter().map(|s| (s.eq, s.line)).collect();
         assert_eq!(
             eqs,
             vec![(9, 1), (10, 1), (2, 2), (3, 2), (4, 2), (1, 2), (12, 2)]
@@ -292,7 +255,7 @@ fn f() {}
     #[test]
     fn strings_do_not_count_as_tags() {
         let src = file("a.rs", "fn f() { let s = \"Eq. 9 margin\"; } // Eq. 11\n");
-        let eqs: Vec<u32> = harvest(&src, false).iter().map(|s| s.eq).collect();
+        let eqs: Vec<u32> = harvest(&src).iter().map(|s| s.eq).collect();
         assert_eq!(eqs, vec![11]);
     }
 
@@ -310,7 +273,7 @@ mod tests {
 }
 ",
         );
-        let sites = harvest(&src, false);
+        let sites = harvest(&src);
         assert_eq!(sites.len(), 2);
         assert!(!sites[0].is_test);
         assert!(sites[1].is_test, "{sites:?}");
@@ -320,7 +283,7 @@ mod tests {
     fn hyphen_and_en_dash_ranges_both_expand() {
         for dash in ["-", "–"] {
             let src = file("a.rs", &format!("// Eq. 10{dash}12\nfn f() {{}}\n"));
-            let eqs: Vec<u32> = harvest(&src, false).iter().map(|s| s.eq).collect();
+            let eqs: Vec<u32> = harvest(&src).iter().map(|s| s.eq).collect();
             assert_eq!(eqs, vec![10, 11, 12], "dash {dash:?}");
         }
     }
@@ -328,7 +291,7 @@ mod tests {
     #[test]
     fn orphan_numbers_are_not_known() {
         let src = file("a.rs", "// Eq. 99 does not exist.\nfn f() {}\n");
-        let sites = harvest(&src, false);
+        let sites = harvest(&src);
         assert_eq!(sites[0].eq, 99);
         assert!(!KNOWN.contains(&sites[0].eq));
     }

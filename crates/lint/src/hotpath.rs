@@ -1,7 +1,7 @@
 //! Hot-path purity and panic-surface analysis.
 //!
-//! HCPerf's dispatch/γ-search path must stay allocation-free (PR 1 made it
-//! so by hand) and keep a minimal panic surface. This pass enforces both
+//! HCPerf's dispatch/γ-search path must stay allocation-free and keep a
+//! minimal panic surface. This pass enforces both
 //! *structurally*: functions tagged `// hcperf-lint: hot-path-root` seed a
 //! reachability query over the [`crate::callgraph`] call graph, and every
 //! function in the reachable set is scanned for
@@ -12,25 +12,18 @@
 //! * **[`Rule::HotPathPanic`]** — `unwrap`/`expect`/`panic!`-family macros
 //!   and slice indexing (`x[i]`), each a potential panic.
 //!
-//! Both rules ratchet against [`BASELINE_PATH`], a `rule<TAB>count<TAB>path`
-//! file that may only shrink — exactly like the unwrap ratchet, but
-//! per-rule. The call graph over-approximates (see `callgraph` docs), so
-//! the baseline also absorbs same-named functions that are not truly on a
-//! hot path; individual sites can be excused with the ordinary
+//! Both rules ratchet per `(rule, file)` count in the `hot-path` rows of
+//! [`crate::ratchet::RATCHET_PATH`], which may only shrink. The call
+//! graph over-approximates (see `callgraph` docs), so the ratchet also
+//! absorbs same-named functions that are not truly on a hot path;
+//! individual sites can be excused with the ordinary
 //! `// hcperf-lint: allow(hot-path-alloc): <reason>` waiver syntax.
 
-use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
-
-use crate::callgraph::CallGraph;
-use crate::parse::{parse_file, LineIndex, ParsedFile};
-use crate::report::{exit, Finding, Rule};
-use crate::source::Waiver;
-use crate::workspace::{load_sources, SourceFile, DETERMINISTIC_CRATES};
-
-/// Workspace-relative path of the hot-path ratchet baseline.
-pub const BASELINE_PATH: &str = "crates/lint/hotpath_baseline.txt";
+use crate::ratchet::{Analysis, Comparison, Rows, Value};
+use crate::report::{json_escape, sort_findings, Finding, Rule, Section};
+use crate::rules::count_total;
+use crate::source::{is_ident_byte, MaskedFile, Words};
+use crate::workspace::Scope;
 
 const ALLOC_PATTERNS: [&str; 8] = [
     "vec!",
@@ -52,377 +45,163 @@ const PANIC_PATTERNS: [&str; 6] = [
     "unimplemented!",
 ];
 
-/// One `(rule, path)` row's comparison against the baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RuleDelta {
-    /// Rule name (`hot-path-alloc` / `hot-path-panic`).
-    pub rule: String,
-    /// Workspace-relative path.
-    pub path: String,
-    /// Baseline count (0 when the row is absent).
-    pub baseline: usize,
-    /// Measured count.
-    pub current: usize,
-}
-
-/// Outcome of the per-rule ratchet comparison.
-#[derive(Debug, Default)]
-pub struct RuleRatchet {
-    /// Rows whose count grew past the baseline (fails the run).
-    pub growth: Vec<RuleDelta>,
-    /// Rows whose count shrank (passes; refresh via `--update-baseline`).
-    pub shrink: Vec<RuleDelta>,
-    /// Sum of measured counts.
-    pub current_total: usize,
-    /// Sum of baseline counts.
-    pub baseline_total: usize,
-}
-
-impl RuleRatchet {
-    /// True when no row grew.
-    #[must_use]
-    pub fn ok(&self) -> bool {
-        self.growth.is_empty()
-    }
-}
-
 /// Result of the hot-path analysis.
 #[derive(Debug)]
-pub struct HotPathReport {
+pub struct HotPath {
     /// Qualified names of the declared roots, in graph order.
     pub roots: Vec<String>,
     /// Qualified names of every reachable function, in graph order.
     pub reachable: Vec<String>,
-    /// Violation sites in grown `(rule, path)` rows, with exact lines.
-    pub findings: Vec<Finding>,
+    /// Every unwaived violation site, with its exact line.
+    pub sites: Vec<Finding>,
     /// Sites suppressed by `allow(hot-path-…)` waivers.
     pub waived: Vec<Finding>,
-    /// Unwaived site counts per `(rule, path)`.
-    pub counts: BTreeMap<(String, String), usize>,
-    /// Ratchet comparison; `None` when regenerating the baseline.
-    pub ratchet: Option<RuleRatchet>,
-    /// Number of `.rs` files parsed into the call graph.
-    pub files_scanned: usize,
-}
-
-impl HotPathReport {
-    /// The process exit code this report maps to: growth is ratchet
-    /// failure, everything else is clean (sites within baseline pass).
-    #[must_use]
-    pub fn exit_code(&self) -> i32 {
-        if self.ratchet.as_ref().is_some_and(|r| !r.ok()) {
-            exit::RATCHET
-        } else {
-            exit::CLEAN
-        }
-    }
-}
-
-/// Parses the `rule<TAB>count<TAB>path` baseline format.
-///
-/// # Errors
-///
-/// Returns a message describing the first malformed row.
-pub fn parse_baseline(text: &str) -> Result<BTreeMap<(String, String), usize>, String> {
-    let mut map = BTreeMap::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, '\t');
-        let (Some(rule), Some(count), Some(path)) = (parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!(
-                "hotpath baseline line {}: expected `rule<TAB>count<TAB>path`",
-                idx + 1
-            ));
-        };
-        let count: usize = count
-            .trim()
-            .parse()
-            .map_err(|_| format!("hotpath baseline line {}: bad count `{count}`", idx + 1))?;
-        map.insert((rule.trim().to_owned(), path.trim().to_owned()), count);
-    }
-    Ok(map)
-}
-
-/// Renders the baseline file from measured counts (zero rows omitted).
-#[must_use]
-pub fn render_baseline(counts: &BTreeMap<(String, String), usize>) -> String {
-    let mut out = String::from(
-        "# hcperf-lint hot-path ratchet baseline: allocation and panic-capable\n\
-         # sites in functions reachable from `hot-path-root` markers. Rows are\n\
-         # `rule<TAB>count<TAB>path` and may only shrink; regenerate with\n\
-         # `cargo run -p hcperf-lint -- --hot-path --update-baseline`.\n",
-    );
-    for ((rule, path), count) in counts {
-        if *count > 0 {
-            out.push_str(&format!("{rule}\t{count}\t{path}\n"));
-        }
-    }
-    out
-}
-
-/// Compares measured counts against the baseline.
-#[must_use]
-pub fn compare(
-    counts: &BTreeMap<(String, String), usize>,
-    baseline: &BTreeMap<(String, String), usize>,
-) -> RuleRatchet {
-    let mut report = RuleRatchet::default();
-    for (key, &current) in counts {
-        let base = baseline.get(key).copied().unwrap_or(0);
-        report.current_total += current;
-        let delta = RuleDelta {
-            rule: key.0.clone(),
-            path: key.1.clone(),
-            baseline: base,
-            current,
-        };
-        if current > base {
-            report.growth.push(delta);
-        } else if current < base {
-            report.shrink.push(delta);
-        }
-    }
-    for (key, &base) in baseline {
-        report.baseline_total += base;
-        if !counts.contains_key(key) && base > 0 {
-            report.shrink.push(RuleDelta {
-                rule: key.0.clone(),
-                path: key.1.clone(),
-                baseline: base,
-                current: 0,
-            });
-        }
-    }
-    report
-        .shrink
-        .sort_by(|a, b| (&a.path, &a.rule).cmp(&(&b.path, &b.rule)));
-    report
-}
-
-/// One violation site before waiver/baseline classification.
-struct Site {
-    rule: Rule,
-    line: usize,
-    construct: String,
-    fn_name: String,
-}
-
-/// Byte offsets of word-boundary-respecting occurrences of `pat` inside
-/// the `body` byte range of `masked`. Shared by the purity/panic scan here
-/// and the blocking-surface scan in [`crate::wcet`].
-pub(crate) fn pattern_offsets(masked: &str, body: (usize, usize), pat: &str) -> Vec<usize> {
-    let slice = &masked[body.0..body.1];
-    let bytes = masked.as_bytes();
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(p) = slice[from..].find(pat).map(|p| from + p) {
-        from = p + pat.len();
-        let at = body.0 + p;
-        let first = pat.as_bytes()[0];
-        let left_ok = !is_ident_byte(first) || at == 0 || !is_ident_byte(bytes[at - 1]);
-        let last = pat.as_bytes()[pat.len() - 1];
-        let right_ok =
-            !is_ident_byte(last) || bytes.get(at + pat.len()).is_none_or(|&b| !is_ident_byte(b));
-        if left_ok && right_ok {
-            out.push(at);
-        }
-    }
-    out
 }
 
 /// Scans one function body (a byte range of masked text) for violation
-/// sites.
-fn scan_body(masked: &str, body: (usize, usize), lines: &LineIndex, fn_name: &str) -> Vec<Site> {
-    let mut sites = Vec::new();
-    let slice = &masked[body.0..body.1];
+/// sites: `(rule, line, construct)`.
+fn scan_body(file: &MaskedFile, body: (usize, usize)) -> Vec<(Rule, usize, String)> {
+    let (masked, lines) = (file.masked.as_str(), &file.lines);
     let bytes = masked.as_bytes();
-    for (rule, patterns) in [
-        (Rule::HotPathAlloc, &ALLOC_PATTERNS[..]),
-        (Rule::HotPathPanic, &PANIC_PATTERNS[..]),
-    ] {
-        for pat in patterns {
-            for at in pattern_offsets(masked, body, pat) {
-                sites.push(Site {
-                    rule,
-                    line: lines.line_of(at),
-                    construct: (*pat).trim_end_matches('(').to_owned(),
-                    fn_name: fn_name.to_owned(),
-                });
-            }
-        }
-    }
+    let words = Words::new(ALLOC_PATTERNS.into_iter().chain(PANIC_PATTERNS));
+    let mut sites: Vec<(Rule, usize, String)> = words
+        .find(masked, body)
+        .into_iter()
+        .map(|(k, at)| {
+            let rule = if k < ALLOC_PATTERNS.len() {
+                Rule::HotPathAlloc
+            } else {
+                Rule::HotPathPanic
+            };
+            (
+                rule,
+                lines.line_of(at),
+                words.pattern(k).trim_end_matches('(').to_owned(),
+            )
+        })
+        .collect();
     // Slice indexing: `[` whose previous non-space byte ends an expression
     // (identifier, `)`, or `]`). `#[attr]`, `vec![…]`, `&[T]` types and
     // array literals all fail that test.
-    for (off, b) in slice.bytes().enumerate() {
-        if b != b'[' {
-            continue;
-        }
-        let at = body.0 + off;
+    for at in (body.0..body.1).filter(|&at| bytes[at] == b'[') {
         let prev = bytes[..at].iter().rev().find(|b| !b.is_ascii_whitespace());
         if prev.is_some_and(|&p| is_ident_byte(p) || p == b')' || p == b']') {
-            sites.push(Site {
-                rule: Rule::HotPathPanic,
-                line: lines.line_of(at),
-                construct: "slice-indexing".to_owned(),
-                fn_name: fn_name.to_owned(),
-            });
+            sites.push((
+                Rule::HotPathPanic,
+                lines.line_of(at),
+                "slice-indexing".to_owned(),
+            ));
         }
     }
     sites
 }
 
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-pub(crate) fn waiver_covers(waivers: &[Waiver], rule: Rule, line: usize) -> Option<String> {
-    waivers
-        .iter()
-        .find(|w| w.rule == Some(rule) && (w.line == line || w.line + 1 == line))
-        .map(|w| w.reason.clone())
-}
-
-/// Runs the hot-path analysis over the workspace rooted at `root`.
-///
-/// When `against_baseline` is true, per-`(rule, path)` counts are compared
-/// to [`BASELINE_PATH`] and growth produces findings with exact lines; a
-/// missing baseline is an error so CI cannot silently skip the gate.
-///
-/// # Errors
-///
-/// Propagates I/O failures and baseline-format problems.
-pub fn run_hot_path(root: &Path, against_baseline: bool) -> io::Result<HotPathReport> {
-    let sources = load_sources(root, &DETERMINISTIC_CRATES, true)?;
-    let parsed: Vec<ParsedFile> = crate::par::map(&sources, |s| {
-        parse_file(&s.rel, &s.masked.masked, &s.masked.hot_path_roots)
-    });
-    let graph = CallGraph::build(&parsed);
-    let reachable_idx = graph.reachable_from_roots();
-
-    let by_rel: BTreeMap<&str, &SourceFile> = sources.iter().map(|s| (s.rel.as_str(), s)).collect();
-    let mut line_indexes: BTreeMap<&str, LineIndex> = BTreeMap::new();
-
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    let mut all_sites: Vec<(String, Site)> = Vec::new();
+/// Scans every function reachable from the declared roots.
+#[must_use]
+pub fn analyze(scope: &Scope<'_>) -> HotPath {
+    let graph = &scope.graph;
+    let reachable = graph.reachable_from_roots();
+    let mut sites = Vec::new();
     let mut waived = Vec::new();
-    for &idx in &reachable_idx {
+    for &idx in &reachable {
         let node = &graph.nodes[idx];
         let Some(body) = node.body else { continue };
-        let src = by_rel[node.path.as_str()];
-        let lines = line_indexes
-            .entry(src.rel.as_str())
-            .or_insert_with(|| LineIndex::new(&src.masked.masked));
-        for site in scan_body(&src.masked.masked, body, lines, &node.qualified()) {
-            match waiver_covers(&src.masked.waivers, site.rule, site.line) {
-                Some(reason) => waived.push(site_finding(&site, &node.path, src, Some(reason))),
-                None => {
-                    *counts
-                        .entry((site.rule.name().to_owned(), node.path.clone()))
-                        .or_insert(0) += 1;
-                    all_sites.push((node.path.clone(), site));
-                }
+        let src = scope.file_of(idx);
+        for (rule, line, construct) in scan_body(&src.masked, body) {
+            let what = if rule == Rule::HotPathAlloc {
+                "allocates"
+            } else {
+                "can panic"
+            };
+            let message = format!(
+                "`{construct}` {what} in hot-path-reachable fn `{}`; hot paths must stay \
+                 pure — restructure, or waive with `hcperf-lint: allow({rule})` and a reason",
+                node.qualified(),
+            );
+            let f = Finding::at(rule, src, line, message);
+            match src.masked.waiver(rule, line) {
+                Some(reason) => waived.push(f.waived(Some(reason))),
+                None => sites.push(f),
             }
         }
     }
-
-    let mut findings = Vec::new();
-    let mut ratchet = None;
-    if against_baseline {
-        let path = root.join(BASELINE_PATH);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!(
-                    "cannot read hot-path baseline {}: {e}; bootstrap with --hot-path --update-baseline",
-                    path.display()
-                ),
-            )
-        })?;
-        let baseline =
-            parse_baseline(&text).map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?;
-        let cmp = compare(&counts, &baseline);
-        // Every unwaived site in a grown row becomes a finding: the exact
-        // lines point the author at the sites, new and baselined alike.
-        for g in &cmp.growth {
-            for (rel, site) in &all_sites {
-                if site.rule.name() == g.rule && rel == &g.path {
-                    findings.push(site_finding(site, rel, by_rel[rel.as_str()], None));
-                }
-            }
-        }
-        findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-        ratchet = Some(cmp);
-    }
-
-    let roots = graph
-        .roots()
-        .iter()
-        .map(|&i| graph.nodes[i].qualified())
-        .collect();
-    let reachable = reachable_idx
-        .iter()
-        .map(|&i| graph.nodes[i].qualified())
-        .collect();
-    Ok(HotPathReport {
-        roots,
-        reachable,
-        findings,
+    sort_findings(&mut sites);
+    let names = |idx: &[usize]| idx.iter().map(|&i| graph.nodes[i].qualified()).collect();
+    HotPath {
+        roots: names(&graph.roots()),
+        reachable: names(&reachable),
+        sites,
         waived,
-        counts,
-        ratchet,
-        files_scanned: sources.len(),
-    })
+    }
 }
 
-fn site_finding(site: &Site, rel: &str, src: &SourceFile, waived: Option<String>) -> Finding {
-    let snippet = src
-        .raw
-        .lines()
-        .nth(site.line - 1)
-        .map_or("", str::trim)
-        .to_owned();
-    let what = match site.rule {
-        Rule::HotPathAlloc => "allocates",
-        _ => "can panic",
-    };
-    Finding {
-        rule: site.rule,
-        path: rel.to_owned(),
-        line: site.line,
-        snippet,
-        message: format!(
-            "`{}` {} in hot-path-reachable fn `{}`; hot paths must stay pure — \
-             restructure, or waive with `hcperf-lint: allow({})` and a reason",
-            site.construct,
-            what,
-            site.fn_name,
-            site.rule.name(),
-        ),
-        waived,
-        chain: Vec::new(),
+impl HotPath {
+    /// The `hot-path` ratchet rows: unwaived sites per `(rule, file)`.
+    #[must_use]
+    pub fn rows(&self) -> Rows {
+        let mut rows = Rows::new();
+        for f in &self.sites {
+            let key = (Analysis::HotPath, f.rule.name().to_owned(), f.path.clone());
+            let n = rows.entry(key).or_insert(Value::Count(0));
+            if let Value::Count(n) = n {
+                *n += 1;
+            }
+        }
+        rows
+    }
+
+    /// The `hot_path` section. Every unwaived site in a grown row becomes
+    /// a finding: the exact lines point the author at the sites, new and
+    /// recorded alike.
+    #[must_use]
+    pub fn section(self, cmp: &Comparison, recorded: &Rows) -> Section {
+        let cmp = cmp.of(Analysis::HotPath);
+        let current = count_total(&self.rows(), Analysis::HotPath);
+        let grown = |f: &Finding| {
+            cmp.growth
+                .iter()
+                .any(|g| g.name() == f.rule.name() && g.path() == f.path)
+        };
+        let findings: Vec<Finding> = self.sites.into_iter().filter(grown).collect();
+        let summary = format!(
+            "hcperf-lint hot-path: {} roots, {} reachable fns, {} findings, {} waived, sites {current}/{}",
+            self.roots.len(),
+            self.reachable.len(),
+            findings.len(),
+            self.waived.len(),
+            count_total(recorded, Analysis::HotPath),
+        );
+        let roots: Vec<String> = self
+            .roots
+            .iter()
+            .map(|r| format!("\"{}\"", json_escape(r)))
+            .collect();
+        let mut section = Section::new("hot_path", findings, self.waived, Some(cmp));
+        section.json = vec![
+            format!("\"roots\":[{}]", roots.join(",")),
+            format!("\"reachable_fns\":{}", self.reachable.len()),
+        ];
+        section.lines.push(summary);
+        section
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse::parse_file_marked;
+    use crate::ratchet::{compare, parse, render};
+    use crate::report::exit;
     use crate::source::mask;
+    use crate::workspace::SourceFile;
 
     fn sites(src: &str) -> Vec<(Rule, usize, String)> {
         let m = mask(src);
-        let parsed = parse_file("t.rs", &m.masked, &m.hot_path_roots);
-        let lines = LineIndex::new(&m.masked);
+        let parsed = parse_file_marked("t.rs", &m);
         let mut out = Vec::new();
         for item in &parsed.fns {
             if let Some(body) = item.body {
-                for s in scan_body(&m.masked, body, &lines, &item.name) {
-                    out.push((s.rule, s.line, s.construct));
-                }
+                out.extend(scan_body(&m, body));
             }
         }
         out
@@ -492,33 +271,52 @@ fn f(xs: &[u32]) -> [u8; 4] {
         assert!(got.is_empty(), "{got:?}");
     }
 
+    /// A root with `allocs` `to_vec` lines (lines 3..) and, optionally,
+    /// one `unwrap` after them.
+    fn hot(allocs: usize, unwrap: bool) -> HotPath {
+        let mut src = "// hcperf-lint: hot-path-root\nfn root(xs: &[u32]) {\n".to_owned();
+        src += &"    let v = xs.to_vec();\n".repeat(allocs);
+        if unwrap {
+            src += "    let _ = xs.first().unwrap();\n";
+        }
+        let file = SourceFile::new("crates/core/src/k.rs", "crates/core/src", src + "}\n");
+        analyze(&Scope::new([&file]))
+    }
+
     #[test]
     fn ruled_baseline_round_trips_and_compares() {
-        let mut counts = BTreeMap::new();
-        counts.insert(("hot-path-alloc".to_owned(), "a.rs".to_owned()), 3);
-        counts.insert(("hot-path-panic".to_owned(), "a.rs".to_owned()), 1);
-        let text = render_baseline(&counts);
-        let parsed = parse_baseline(&text).unwrap();
-        assert_eq!(parsed, counts);
+        let recorded = hot(2, true).rows();
+        let counts: Vec<(&str, Value)> = recorded.iter().map(|(k, v)| (k.1.as_str(), *v)).collect();
+        let want = [
+            ("hot-path-alloc", Value::Count(2)),
+            ("hot-path-panic", Value::Count(1)),
+        ];
+        assert_eq!(counts, want);
+        assert_eq!(parse(&render(&recorded)).unwrap(), recorded);
 
-        let mut grown = counts.clone();
-        grown.insert(("hot-path-alloc".to_owned(), "a.rs".to_owned()), 4);
-        let cmp = compare(&grown, &counts);
-        assert!(!cmp.ok());
+        // A third allocation grows the alloc row, and the section reports
+        // every site of that row with its line; the panic row is quiet.
+        let grown = hot(3, true);
+        let cmp = compare(&grown.rows(), &recorded);
         assert_eq!(cmp.growth.len(), 1);
-        assert_eq!(cmp.growth[0].current, 4);
+        assert_eq!(cmp.growth[0].current, Some(Value::Count(3)));
+        let section = grown.section(&cmp, &recorded);
+        let lines: Vec<usize> = section.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![3, 4, 5]);
+        assert_eq!(section.exit_code, exit::RATCHET);
 
-        let mut shrunk = counts.clone();
-        shrunk.remove(&("hot-path-panic".to_owned(), "a.rs".to_owned()));
-        let cmp = compare(&shrunk, &counts);
-        assert!(cmp.ok());
+        // Dropping the unwrap removes the panic row: shrink, which passes.
+        let shrunk = hot(2, false);
+        let cmp = compare(&shrunk.rows(), &recorded);
+        assert!(cmp.growth.is_empty());
         assert_eq!(cmp.shrink.len(), 1);
+        assert_eq!(shrunk.section(&cmp, &recorded).exit_code, exit::CLEAN);
     }
 
     #[test]
     fn rejects_malformed_baseline() {
-        assert!(parse_baseline("nonsense").is_err());
-        assert!(parse_baseline("hot-path-alloc\tx\ta.rs").is_err());
-        assert!(parse_baseline("# c\nhot-path-alloc\t3\ta.rs\n").is_ok());
+        assert!(parse("hot-path\thot-path-alloc\ta.rs").is_err());
+        assert!(parse("hot-path\thot-path-alloc\tx\ta.rs").is_err());
+        assert!(parse("# c\nhot-path\thot-path-alloc\t3\ta.rs\n").is_ok());
     }
 }

@@ -1,70 +1,59 @@
 //! `hcperf-lint`: the workspace's determinism and schedulability gate.
 //!
-//! HCPerf's evaluation rests on bit-reproducible simulation, and PR 1/PR 2
-//! assert bit-identity in tests — but nothing *statically* prevented the
-//! hazards that silently break it. This crate closes that gap with two
-//! analysis modes, both wired into CI ahead of the build:
+//! HCPerf's evaluation rests on bit-reproducible simulation and on sound
+//! timing (the Eq. 9 deadlines and the Eq. 11 γ range). This crate checks
+//! both statically in one pass ([`run`]): [`workspace::load`] reads and
+//! masks every source file once ([`source`]: comments, string/char
+//! literals and `#[cfg(test)]` modules blanked, waivers and markers
+//! collected) and parses the call-graph trees once
+//! ([`parse::parse_file_marked`]). Every analysis then runs over that
+//! shared data and contributes one section of one report:
 //!
-//! 1. **Source rules** (default mode) — a std-only lexical scanner (no
-//!    external parser) masks comments, string/char literals and
-//!    `#[cfg(test)]` modules, then enforces per-crate rule families:
-//!    [`report::Rule::WallClock`], [`report::Rule::UnorderedIteration`],
-//!    [`report::Rule::Entropy`], [`report::Rule::FloatEq`] and the
-//!    [`report::Rule::UnwrapRatchet`] baseline that may only shrink.
-//!    Intentional sites carry `// hcperf-lint: allow(<rule>): <reason>`
-//!    waivers; diagnostics come out as human `file:line` text or `--json`.
+//! 1. **`source`** ([`rules`]) — [`report::Rule::WallClock`],
+//!    [`report::Rule::UnorderedIteration`], [`report::Rule::Entropy`] and
+//!    [`report::Rule::FloatEq`] per crate family, plus the
+//!    `unwrap()`/`expect()` count per library file.
+//! 2. **`hot_path`** ([`hotpath`]) — [`callgraph`] resolves calls with
+//!    over-approximating heuristics (receiver type when inferable, else
+//!    name + arity) and computes the set reachable from functions marked
+//!    `// hcperf-lint: hot-path-root`; allocation
+//!    ([`report::Rule::HotPathAlloc`]) and panic
+//!    ([`report::Rule::HotPathPanic`]) sites in it are counted.
+//! 3. **`eq_coverage`** ([`eqcov`]) — each of the paper's Eq. 2–12 needs a
+//!    non-test implementation tag *and* a test tag; tags naming undefined
+//!    equations are orphans ([`report::Rule::EqCoverage`]).
+//! 4. **`wcet`** ([`wcet`]) — every reachable loop is classified on a
+//!    lattice (constant / input-bounded / unknown, [`parse::LoopClass`]);
+//!    costs propagate over the call graph in a symbolic
+//!    `O(n^d log^l n)` abstraction ([`wcet::Cost`]) into one certificate
+//!    per root. Unknown loops ([`report::Rule::WcetUnbounded`]) and
+//!    blocking constructs ([`report::Rule::HotPathBlocking`]) are findings
+//!    unless waived.
+//! 5. **`det_flow`** ([`detflow`]) — nondeterminism sources (unordered
+//!    iteration, wall-clock values, channel arrival order, thread
+//!    identity, env reads, address-seeded hashing) flow to fixpoint
+//!    through per-function summaries into `// hcperf-lint:
+//!    det-sink(<name>)` fns, with sanitizers (`BTree*` rebuilds, `sort*`,
+//!    `det-sanitizer` fns) killing taint; each sink gets an exposure
+//!    certificate, and findings carry the source→…→sink chain.
+//! 6. **`schedulability`** ([`sched`]) — every task graph in
+//!    `taskgraph::graphs` and every scenario preset must have positive
+//!    Eq. 9 deadlines and a non-empty strict Eq. 11 γ range at its
+//!    reference operating point (decided by `dps::reference`), and every
+//!    kernel its budget relies on needs a bounded certificate from the
+//!    same run's `wcet` section.
 //!
-//! 2. **Schedulability audit** (`--schedulability`) — every task graph in
-//!    `taskgraph::graphs` and every scenario preset is checked at its
-//!    reference operating point: Eq. 9 scheduling deadlines must be
-//!    positive (`Dᵢ > cᵢᵐᵃˣ`) and the Eq. 11 constraint system must admit
-//!    a non-empty feasible γ range on the configured core count, decided
-//!    by the paper-literal `dps::reference` oracle in strict mode.
+//! The hot-path/WCET graph spans the deterministic crates; det-flow's
+//! adds the harness, store, CLI and bench trees where the sinks live.
+//! They stay two graphs because name-based resolution over the union
+//! adds false hot-path edges.
 //!
-//! 3. **Hot-path purity** (`--hot-path`) — a token-tree pass ([`parse`])
-//!    extracts every `fn`, impl block and call site from the masked
-//!    sources; [`callgraph`] resolves calls with over-approximating
-//!    heuristics (receiver type when inferable, else name + arity) and
-//!    computes the set reachable from functions annotated
-//!    `// hcperf-lint: hot-path-root`. Inside that set, allocation
-//!    constructs ([`report::Rule::HotPathAlloc`]) and panic sources
-//!    ([`report::Rule::HotPathPanic`]) are ratcheted per rule against
-//!    `crates/lint/hotpath_baseline.txt`.
-//!
-//! 4. **Eq. coverage** (`--eq-coverage`) — `Eq. N` doc tags are harvested
-//!    from comments ([`eqcov`]); each of the paper's Eq. 2–12 must have at
-//!    least one non-test implementation site *and* one tagged test, and
-//!    tags naming undefined equations are orphans
-//!    ([`report::Rule::EqCoverage`]).
-//!
-//! 5. **WCET certificates** (`--wcet`) — every loop in the hot-path
-//!    reachable set is classified on a loop lattice
-//!    (constant / input-bounded / unknown, [`parse::LoopClass`]); costs
-//!    propagate interprocedurally over the call graph in a symbolic
-//!    `O(n^d log^l n)` abstraction ([`wcet::Cost`]) and each root's bound
-//!    becomes a certificate row in `crates/lint/wcet_certificates.txt`,
-//!    ratcheted like the baselines ([`report::Rule::WcetCert`]). Unknown
-//!    loops ([`report::Rule::WcetUnbounded`]) and blocking constructs
-//!    ([`report::Rule::HotPathBlocking`]) in reachable code are findings
-//!    unless waived. `--schedulability` cross-checks that every audit
-//!    target's Eq. 9 budget is backed by certificate-covered kernels.
-//!
-//! 6. **Det-flow certificates** (`--det-flow`) — an interprocedural
-//!    determinism-taint dataflow ([`detflow`]) over the same call graph:
-//!    nondeterminism sources (unordered iteration, wall-clock values,
-//!    channel arrival order, thread identity, env reads, address-seeded
-//!    hashing) are flowed to fixpoint through per-function summaries to
-//!    declared `// hcperf-lint: det-sink(<name>)` output sinks, with
-//!    sanitizers (`BTree*` rebuilds, `sort*`, `det-sanitizer` fns)
-//!    killing taint. Per-sink exposure is certified in
-//!    `crates/lint/detflow_certificates.txt` and ratcheted
-//!    ([`report::Rule::DetFlow`]); findings carry the full
-//!    source→…→sink chain with exact lines.
-//!
-//! Exit codes are distinct per failure class — see [`report::exit`].
-//! The file scan and parse fan out over a std-only scoped-thread pool
-//! ([`par`]) with index-ordered reassembly, so all output stays
-//! byte-deterministic.
+//! Counts and certificates form one [`ratchet`] over
+//! `crates/lint/ratchet.txt`: rows keyed by (analysis, name, path) that
+//! may only shrink. Intentional sites carry
+//! `// hcperf-lint: allow(<rule>): <reason>` waivers. Each section has
+//! its own exit code; the process exit code follows one precedence
+//! ([`report::exit::combine`]).
 //!
 //! # Examples
 //!
@@ -79,8 +68,8 @@ pub mod callgraph;
 pub mod detflow;
 pub mod eqcov;
 pub mod hotpath;
-pub mod par;
 pub mod parse;
+pub mod pass;
 pub mod ratchet;
 pub mod report;
 pub mod rules;
@@ -89,5 +78,5 @@ pub mod source;
 pub mod wcet;
 pub mod workspace;
 
+pub use pass::{run, Report};
 pub use report::{Finding, Rule};
-pub use workspace::{run_source_lint, LintReport, BASELINE_PATH};

@@ -1,79 +1,38 @@
-//! The `hcperf-lint` binary: source rules by default, `--schedulability`
-//! for the Eq. 9 / Eq. 11 audit (with WCET kernel cross-check),
-//! `--hot-path` for call-graph purity, `--eq-coverage` for the
-//! paper-equation gate, `--wcet` for loop-bound certificates, and
-//! `--det-flow` for interprocedural determinism-taint certificates. See
-//! the library docs.
+//! The `hcperf-lint` binary: one pass over the workspace, one report.
+//! See the library docs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hcperf_lint::report::{exit, finding_json, render_annotations, Finding};
-use hcperf_lint::{detflow, eqcov, hotpath, ratchet, sched, wcet, workspace};
+use hcperf_lint::ratchet::{self, RATCHET_PATH};
+use hcperf_lint::report::exit;
 
 const USAGE: &str = "\
 hcperf-lint — determinism & schedulability gate for the HCPerf workspace
 
 USAGE:
-    hcperf-lint [--json] [--annotations] [--root <path>] [--update-baseline]
-    hcperf-lint --hot-path [--eq-coverage] [--wcet] [--det-flow] [--json] [--update-baseline]
-    hcperf-lint --wcet [--hot-path] [--eq-coverage] [--det-flow] [--json] [--update-baseline]
-    hcperf-lint --det-flow [--hot-path] [--eq-coverage] [--wcet] [--json] [--update-baseline]
-    hcperf-lint --eq-coverage [--hot-path] [--wcet] [--det-flow] [--json]
-    hcperf-lint --schedulability [--json]
-    hcperf-lint --update-baselines
+    hcperf-lint [--json] [--annotations] [--root <path>] [--update-baselines]
 
-MODES:
-    (default)          scan deterministic crates for wall-clock access,
-                       HashMap/HashSet, ambient entropy, float ==/!=, and
-                       check the unwrap()/expect() ratchet baseline
-    --hot-path         build the workspace call graph, compute the set
-                       reachable from `// hcperf-lint: hot-path-root`
-                       markers, and ratchet allocation / panic sites in it
-                       against crates/lint/hotpath_baseline.txt
-    --eq-coverage      require an implementation tag and a test tag for
-                       each of the paper's Eq. 2-12; flag orphaned tags
-    --wcet             classify every loop in the hot-path reachable set
-                       (constant / input-bounded / unknown), propagate
-                       symbolic O(n^d log^l n) costs over the call graph,
-                       flag blocking constructs, and ratchet per-root
-                       certificates against crates/lint/wcet_certificates.txt
-    --det-flow         flow nondeterminism sources (HashMap/HashSet
-                       iteration, wall-clock values, channel recv order,
-                       thread identity, env reads, address-seeded hashing)
-                       over the call graph to `det-sink(<name>)`-marked
-                       output fns, with BTree/sort/`det-sanitizer` kills;
-                       ratchet per-sink exposure against
-                       crates/lint/detflow_certificates.txt
-    --schedulability   audit every registered task graph and scenario
-                       preset: Eq. 9 deadlines, Eq. 11 feasible γ range,
-                       and WCET certificate coverage of the γ kernels
+Loads the workspace once and reports one section per analysis: source
+rules, hot_path, eq_coverage, wcet, det_flow and schedulability. Counts
+and certificates ratchet against crates/lint/ratchet.txt.
 
 OPTIONS:
-    --json             machine-readable output
-    --annotations      additionally emit GitHub `::error file=…` workflow
-                       commands for unwaived file-anchored findings
-    --root <path>      workspace root (default: inferred from cargo)
-    --update-baseline  rewrite the active mode's ratchet artifacts
-                       (unwrap_baseline.txt; hotpath_baseline.txt with
-                       --hot-path; wcet_certificates.txt with --wcet;
-                       detflow_certificates.txt with --det-flow)
-    --update-baselines regenerate all four ratchet artifacts in one run
+    --json              machine-readable report (every section)
+    --annotations       also emit GitHub `::error file=…` workflow commands
+                        for unwaived file-anchored findings
+    --root <path>       workspace root (default: inferred from cargo)
+    --update-baselines  rewrite crates/lint/ratchet.txt from this run
 
-EXIT CODES:
-    0 clean   1 findings   2 ratchet growth   3 infeasible target   4 usage
+EXIT CODES (the first that any section reports, in this order):
+    3 infeasible target   1 findings   2 ratchet growth   0 clean
+    4 usage (bad arguments, unreadable workspace or ratchet file)
 ";
 
 struct Args {
     json: bool,
     annotations: bool,
-    schedulability: bool,
-    hot_path: bool,
-    eq_coverage: bool,
-    wcet: bool,
-    det_flow: bool,
-    update_baseline: bool,
-    update_baselines: bool,
+    update: bool,
     root: Option<PathBuf>,
 }
 
@@ -81,13 +40,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         json: false,
         annotations: false,
-        schedulability: false,
-        hot_path: false,
-        eq_coverage: false,
-        wcet: false,
-        det_flow: false,
-        update_baseline: false,
-        update_baselines: false,
+        update: false,
         root: None,
     };
     let mut it = std::env::args().skip(1);
@@ -95,39 +48,11 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--json" => args.json = true,
             "--annotations" => args.annotations = true,
-            "--schedulability" => args.schedulability = true,
-            "--hot-path" => args.hot_path = true,
-            "--eq-coverage" => args.eq_coverage = true,
-            "--wcet" => args.wcet = true,
-            "--det-flow" => args.det_flow = true,
-            "--update-baseline" => args.update_baseline = true,
-            "--update-baselines" => args.update_baselines = true,
-            "--root" => {
-                let v = it.next().ok_or("--root requires a path")?;
-                args.root = Some(PathBuf::from(v));
-            }
+            "--update-baselines" => args.update = true,
+            "--root" => args.root = Some(PathBuf::from(it.next().ok_or("--root requires a path")?)),
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    if args.schedulability
-        && (args.update_baseline
-            || args.update_baselines
-            || args.hot_path
-            || args.eq_coverage
-            || args.wcet
-            || args.det_flow
-            || args.annotations)
-    {
-        return Err("--schedulability cannot combine with other modes".to_owned());
-    }
-    if args.update_baselines
-        && (args.update_baseline || args.hot_path || args.eq_coverage || args.wcet || args.det_flow)
-    {
-        return Err("--update-baselines runs alone; it already covers every artifact".to_owned());
-    }
-    if args.update_baseline && args.eq_coverage && !args.hot_path && !args.wcet && !args.det_flow {
-        return Err("--eq-coverage has no baseline to update".to_owned());
     }
     Ok(args)
 }
@@ -138,686 +63,52 @@ fn resolve_root(args: &Args) -> PathBuf {
     if let Some(r) = &args.root {
         return r.clone();
     }
-    if let Ok(manifest) = std::env::var("CARGO_MANIFEST_DIR") {
-        let p = PathBuf::from(manifest);
-        if let Some(root) = p.ancestors().nth(2) {
-            return root.to_path_buf();
-        }
-    }
-    PathBuf::from(".")
+    std::env::var("CARGO_MANIFEST_DIR")
+        .ok()
+        .and_then(|m| PathBuf::from(m).ancestors().nth(2).map(PathBuf::from))
+        .unwrap_or_else(|| PathBuf::from("."))
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
+        Err(msg) if msg.is_empty() => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
-            if msg.is_empty() {
-                print!("{USAGE}");
-                return ExitCode::from(0);
-            }
             eprintln!("hcperf-lint: {msg}\n\n{USAGE}");
             return code(exit::USAGE);
         }
     };
-
     let root = resolve_root(&args);
-
-    if args.schedulability {
-        let results = sched::audit_all();
-        let gaps = match sched::wcet_cross_check(&results, &root) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("hcperf-lint: {e}");
-                return code(exit::USAGE);
-            }
-        };
-        if args.json {
-            println!("{}", sched::render_json(&results, &gaps));
-        } else {
-            print!("{}", sched::render_human(&results));
-            print!("{}", sched::render_gaps_human(&gaps));
-        }
-        return code(if gaps.is_empty() {
-            sched::exit_code(&results)
-        } else {
-            exit::SCHEDULABILITY
-        });
-    }
-
-    if args.update_baselines {
-        return run_update_baselines(&root);
-    }
-
-    if args.hot_path || args.eq_coverage || args.wcet || args.det_flow {
-        return run_analysis(&args, &root);
-    }
-
-    let report = match workspace::run_source_lint(&root, !args.update_baseline) {
+    let report = match hcperf_lint::run(&root, !args.update) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("hcperf-lint: {e}");
             return code(exit::USAGE);
         }
     };
-
-    if args.update_baseline {
-        let path = root.join(workspace::BASELINE_PATH);
-        let text = ratchet::render_baseline(&report.unwrap_counts);
-        if let Err(e) = std::fs::write(&path, text) {
+    if args.update {
+        let path = root.join(RATCHET_PATH);
+        if let Err(e) = std::fs::write(&path, ratchet::render(&report.rows)) {
             eprintln!("hcperf-lint: cannot write {}: {e}", path.display());
             return code(exit::USAGE);
         }
-        println!(
-            "hcperf-lint: baseline rewritten ({} unwrap/expect sites across {} files)",
-            report.unwrap_counts.values().sum::<usize>(),
-            report.unwrap_counts.values().filter(|&&c| c > 0).count()
+        eprintln!(
+            "hcperf-lint: rewrote {RATCHET_PATH} ({} rows)",
+            report.rows.len()
         );
-        // Source findings still gate --update-baseline runs.
-        if !report.findings.is_empty() {
-            print!("{}", report.render_human());
-        }
-        return code(report.exit_code());
     }
-
     if args.json {
         println!("{}", report.render_json());
     } else {
         print!("{}", report.render_human());
     }
     if args.annotations {
-        print!("{}", render_annotations(&report.findings));
+        print!("{}", report.render_annotations());
     }
     code(report.exit_code())
-}
-
-/// `--update-baselines`: regenerates every ratchet artifact — the unwrap
-/// baseline, the hot-path baseline, the WCET certificates, and the
-/// det-flow certificates — in one run, so a deliberate cost/count change
-/// is a single reviewable diff. Structural findings (source rules,
-/// unbounded loops, blocking calls, sink-declaration problems) still gate
-/// the run: baselines absorb *counts*, not new violations.
-fn run_update_baselines(root: &std::path::Path) -> ExitCode {
-    let src = match workspace::run_source_lint(root, false) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("hcperf-lint: {e}");
-            return code(exit::USAGE);
-        }
-    };
-    let hot = match hotpath::run_hot_path(root, false) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("hcperf-lint: {e}");
-            return code(exit::USAGE);
-        }
-    };
-    let w = match wcet::run_wcet(root, false) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("hcperf-lint: {e}");
-            return code(exit::USAGE);
-        }
-    };
-    let det = match detflow::run_detflow(root, false) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("hcperf-lint: {e}");
-            return code(exit::USAGE);
-        }
-    };
-    for (path, text) in [
-        (
-            root.join(workspace::BASELINE_PATH),
-            ratchet::render_baseline(&src.unwrap_counts),
-        ),
-        (
-            root.join(hotpath::BASELINE_PATH),
-            hotpath::render_baseline(&hot.counts),
-        ),
-        (root.join(wcet::CERT_PATH), wcet::render_certs(&w.certs)),
-        (
-            root.join(detflow::CERT_PATH),
-            detflow::render_certs(&det.sinks),
-        ),
-    ] {
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("hcperf-lint: cannot write {}: {e}", path.display());
-            return code(exit::USAGE);
-        }
-    }
-    println!(
-        "hcperf-lint: baselines rewritten — {} unwrap/expect sites, {} hot-path sites, \
-         {} WCET certificates ({} reachable fns), {} det-flow sinks ({} clean)",
-        src.unwrap_counts.values().sum::<usize>(),
-        hot.counts.values().sum::<usize>(),
-        w.certs.len(),
-        w.reachable_fns,
-        det.sinks.len(),
-        det.sinks.iter().filter(|s| s.taints == 0).count(),
-    );
-    let mut findings: Vec<&Finding> = src.findings.iter().collect();
-    findings.extend(w.findings.iter());
-    findings.extend(det.findings.iter());
-    for f in &findings {
-        println!("{}", f.render());
-    }
-    code(if findings.is_empty() {
-        exit::CLEAN
-    } else {
-        exit::FINDINGS
-    })
-}
-
-/// Runs `--hot-path`, `--eq-coverage` and/or `--wcet` and renders the
-/// combined report. Any mode's `FINDINGS` dominates the exit code;
-/// otherwise any ratchet growth yields `RATCHET`.
-fn run_analysis(args: &Args, root: &std::path::Path) -> ExitCode {
-    let hot = if args.hot_path {
-        match hotpath::run_hot_path(root, !args.update_baseline) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("hcperf-lint: {e}");
-                return code(exit::USAGE);
-            }
-        }
-    } else {
-        None
-    };
-    let eq = if args.eq_coverage {
-        match eqcov::run_eq_coverage(root) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("hcperf-lint: {e}");
-                return code(exit::USAGE);
-            }
-        }
-    } else {
-        None
-    };
-    let wcet_report = if args.wcet {
-        match wcet::run_wcet(root, !args.update_baseline) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("hcperf-lint: {e}");
-                return code(exit::USAGE);
-            }
-        }
-    } else {
-        None
-    };
-    let det = if args.det_flow {
-        match detflow::run_detflow(root, !args.update_baseline) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("hcperf-lint: {e}");
-                return code(exit::USAGE);
-            }
-        }
-    } else {
-        None
-    };
-
-    if args.update_baseline {
-        if let Some(report) = hot.as_ref() {
-            let path = root.join(hotpath::BASELINE_PATH);
-            let text = hotpath::render_baseline(&report.counts);
-            if let Err(e) = std::fs::write(&path, text) {
-                eprintln!("hcperf-lint: cannot write {}: {e}", path.display());
-                return code(exit::USAGE);
-            }
-            println!(
-                "hcperf-lint: hot-path baseline rewritten ({} sites across {} (rule, file) rows; \
-                 {} fns reachable from {} roots)",
-                report.counts.values().sum::<usize>(),
-                report.counts.values().filter(|&&c| c > 0).count(),
-                report.reachable.len(),
-                report.roots.len(),
-            );
-        }
-        if let Some(report) = wcet_report.as_ref() {
-            let path = root.join(wcet::CERT_PATH);
-            if let Err(e) = std::fs::write(&path, wcet::render_certs(&report.certs)) {
-                eprintln!("hcperf-lint: cannot write {}: {e}", path.display());
-                return code(exit::USAGE);
-            }
-            println!(
-                "hcperf-lint: WCET certificates rewritten ({} roots, {} reachable fns)",
-                report.certs.len(),
-                report.reachable_fns,
-            );
-        }
-        if let Some(report) = det.as_ref() {
-            let path = root.join(detflow::CERT_PATH);
-            if let Err(e) = std::fs::write(&path, detflow::render_certs(&report.sinks)) {
-                eprintln!("hcperf-lint: cannot write {}: {e}", path.display());
-                return code(exit::USAGE);
-            }
-            println!(
-                "hcperf-lint: det-flow certificates rewritten ({} sinks, {} clean, {} fns analyzed)",
-                report.sinks.len(),
-                report.sinks.iter().filter(|s| s.taints == 0).count(),
-                report.fns_analyzed,
-            );
-        }
-    }
-
-    let exit_code = combined_exit(
-        hot.as_ref(),
-        eq.as_ref(),
-        wcet_report.as_ref(),
-        det.as_ref(),
-    );
-    if args.json {
-        println!(
-            "{}",
-            render_analysis_json(
-                hot.as_ref(),
-                eq.as_ref(),
-                wcet_report.as_ref(),
-                det.as_ref(),
-                exit_code
-            )
-        );
-    } else {
-        print!(
-            "{}",
-            render_analysis_human(
-                hot.as_ref(),
-                eq.as_ref(),
-                wcet_report.as_ref(),
-                det.as_ref(),
-                exit_code
-            )
-        );
-    }
-    if args.annotations {
-        let mut all: Vec<Finding> = Vec::new();
-        if let Some(h) = hot.as_ref() {
-            all.extend(h.findings.iter().cloned());
-        }
-        if let Some(e) = eq.as_ref() {
-            all.extend(e.findings.iter().cloned());
-        }
-        if let Some(w) = wcet_report.as_ref() {
-            all.extend(w.findings.iter().cloned());
-        }
-        if let Some(d) = det.as_ref() {
-            all.extend(d.findings.iter().cloned());
-        }
-        print!("{}", render_annotations(&all));
-    }
-    code(exit_code)
-}
-
-fn combined_exit(
-    hot: Option<&hotpath::HotPathReport>,
-    eq: Option<&eqcov::EqCovReport>,
-    w: Option<&wcet::WcetReport>,
-    det: Option<&detflow::DetFlowReport>,
-) -> i32 {
-    let codes = [
-        hot.map_or(exit::CLEAN, hotpath::HotPathReport::exit_code),
-        eq.map_or(exit::CLEAN, eqcov::EqCovReport::exit_code),
-        w.map_or(exit::CLEAN, wcet::WcetReport::exit_code),
-        det.map_or(exit::CLEAN, detflow::DetFlowReport::exit_code),
-    ];
-    if codes.contains(&exit::FINDINGS) {
-        exit::FINDINGS
-    } else if codes.contains(&exit::RATCHET) {
-        exit::RATCHET
-    } else {
-        exit::CLEAN
-    }
-}
-
-fn render_analysis_human(
-    hot: Option<&hotpath::HotPathReport>,
-    eq: Option<&eqcov::EqCovReport>,
-    w: Option<&wcet::WcetReport>,
-    det: Option<&detflow::DetFlowReport>,
-    exit_code: i32,
-) -> String {
-    let mut out = String::new();
-    if let Some(h) = hot {
-        for f in &h.findings {
-            out.push_str(&f.render());
-            out.push('\n');
-        }
-        if let Some(r) = &h.ratchet {
-            for g in &r.growth {
-                out.push_str(&format!(
-                    "{}: [{}] {} sites, baseline allows {}\n",
-                    g.path, g.rule, g.current, g.baseline
-                ));
-            }
-            for s in &r.shrink {
-                out.push_str(&format!(
-                    "note: {} shrank to {} {} sites (baseline {}); refresh with --hot-path --update-baseline\n",
-                    s.path, s.current, s.rule, s.baseline
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "hcperf-lint --hot-path: {} roots, {} reachable fns, {} files, {} findings, {} waived\n",
-            h.roots.len(),
-            h.reachable.len(),
-            h.files_scanned,
-            h.findings.len(),
-            h.waived.len(),
-        ));
-    }
-    if let Some(e) = eq {
-        for f in &e.findings {
-            out.push_str(&f.render());
-            out.push('\n');
-        }
-        let covered = e
-            .per_eq
-            .values()
-            .filter(|c| !c.impl_sites.is_empty() && !c.test_sites.is_empty())
-            .count();
-        out.push_str(&format!(
-            "hcperf-lint --eq-coverage: {}/{} tracked equations covered, {} files, {} findings\n",
-            covered,
-            e.per_eq.len(),
-            e.files_scanned,
-            e.findings.len(),
-        ));
-    }
-    if let Some(w) = w {
-        for f in &w.findings {
-            out.push_str(&f.render());
-            out.push('\n');
-        }
-        for c in &w.certs {
-            out.push_str(&format!("cert {:<50} {}\n", c.name, c.cost.render()));
-        }
-        if let Some(r) = &w.ratchet {
-            for s in &r.shrink {
-                out.push_str(&format!(
-                    "note: `{}` certificate shrank to {} (was {}); refresh with --wcet --update-baseline\n",
-                    s.name,
-                    s.current.map_or_else(|| "removed".to_owned(), wcet::Cost::render),
-                    s.baseline.map_or_else(|| "absent".to_owned(), wcet::Cost::render),
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "hcperf-lint --wcet: {} certificates, {} reachable fns, {} files, loops {}c/{}i/{}w/{}u, {} findings, {} waived\n",
-            w.certs.len(),
-            w.reachable_fns,
-            w.files_scanned,
-            w.loop_stats.constant,
-            w.loop_stats.input_bounded,
-            w.loop_stats.waived,
-            w.loop_stats.unbounded,
-            w.findings.len(),
-            w.waived.len(),
-        ));
-    }
-    if let Some(d) = det {
-        for f in &d.findings {
-            out.push_str(&f.render());
-            out.push('\n');
-        }
-        for s in &d.sinks {
-            let status = if s.taints == 0 {
-                "clean".to_owned()
-            } else {
-                format!("tainted:{}", s.taints)
-            };
-            out.push_str(&format!(
-                "sink {:<24} {status:<12} {} @ {}:{}\n",
-                s.name, s.fn_name, s.path, s.line
-            ));
-        }
-        if let Some(r) = &d.ratchet {
-            for s in &r.shrink {
-                out.push_str(&format!(
-                    "note: det-sink `{}` shrank to {} (was {}); refresh with --det-flow --update-baseline\n",
-                    s.name,
-                    s.current.map_or_else(|| "removed".to_owned(), |c| c.to_string()),
-                    s.baseline.map_or_else(|| "absent".to_owned(), |c| c.to_string()),
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "hcperf-lint --det-flow: {} sinks ({} clean), {} flows, {} fns, {} files, {} findings, {} waived\n",
-            d.sinks.len(),
-            d.sinks.iter().filter(|s| s.taints == 0).count(),
-            d.flows.len(),
-            d.fns_analyzed,
-            d.files_scanned,
-            d.findings.len(),
-            d.waived.len(),
-        ));
-    }
-    out.push_str(match exit_code {
-        exit::CLEAN => "hcperf-lint: analysis clean\n",
-        exit::RATCHET => "hcperf-lint: RATCHET GROWTH\n",
-        _ => "hcperf-lint: FAILED\n",
-    });
-    out
-}
-
-fn render_analysis_json(
-    hot: Option<&hotpath::HotPathReport>,
-    eq: Option<&eqcov::EqCovReport>,
-    w: Option<&wcet::WcetReport>,
-    det: Option<&detflow::DetFlowReport>,
-    exit_code: i32,
-) -> String {
-    use hcperf_lint::report::json_escape;
-
-    let mut parts = Vec::new();
-    if hot.is_some() {
-        parts.push("hot-path");
-    }
-    if eq.is_some() {
-        parts.push("eq-coverage");
-    }
-    if w.is_some() {
-        parts.push("wcet");
-    }
-    if det.is_some() {
-        parts.push("det-flow");
-    }
-    let mode = parts.join("+");
-    let mut findings: Vec<String> = Vec::new();
-    let mut waived: Vec<String> = Vec::new();
-
-    let hot_json = hot.map_or_else(
-        || "null".to_owned(),
-        |h| {
-            findings.extend(h.findings.iter().map(finding_json));
-            waived.extend(h.waived.iter().map(finding_json));
-            let roots: Vec<String> = h
-                .roots
-                .iter()
-                .map(|r| format!("\"{}\"", json_escape(r)))
-                .collect();
-            let ratchet = h.ratchet.as_ref().map_or_else(
-                || "null".to_owned(),
-                |r| {
-                    let row = |d: &hotpath::RuleDelta| {
-                        format!(
-                            "{{\"rule\":\"{}\",\"path\":\"{}\",\"baseline\":{},\"current\":{}}}",
-                            json_escape(&d.rule),
-                            json_escape(&d.path),
-                            d.baseline,
-                            d.current
-                        )
-                    };
-                    let growth: Vec<String> = r.growth.iter().map(row).collect();
-                    let shrink: Vec<String> = r.shrink.iter().map(row).collect();
-                    format!(
-                        "{{\"baseline_total\":{},\"current_total\":{},\"growth\":[{}],\"shrink\":[{}]}}",
-                        r.baseline_total,
-                        r.current_total,
-                        growth.join(","),
-                        shrink.join(",")
-                    )
-                },
-            );
-            format!(
-                "{{\"roots\":[{}],\"reachable_fns\":{},\"files_scanned\":{},\"ratchet\":{}}}",
-                roots.join(","),
-                h.reachable.len(),
-                h.files_scanned,
-                ratchet
-            )
-        },
-    );
-
-    let eq_json = eq.map_or_else(
-        || "null".to_owned(),
-        |e| {
-            findings.extend(e.findings.iter().map(finding_json));
-            let rows: Vec<String> = e
-                .per_eq
-                .iter()
-                .map(|(eq_no, cov)| {
-                    format!(
-                        "{{\"eq\":{},\"impl_sites\":{},\"test_sites\":{},\"ok\":{}}}",
-                        eq_no,
-                        cov.impl_sites.len(),
-                        cov.test_sites.len(),
-                        !cov.impl_sites.is_empty() && !cov.test_sites.is_empty()
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"files_scanned\":{},\"equations\":[{}]}}",
-                e.files_scanned,
-                rows.join(",")
-            )
-        },
-    );
-
-    let wcet_json = w.map_or_else(
-        || "null".to_owned(),
-        |w| {
-            findings.extend(w.findings.iter().map(finding_json));
-            waived.extend(w.waived.iter().map(finding_json));
-            let certs: Vec<String> = w
-                .certs
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{{\"root\":\"{}\",\"cost\":\"{}\",\"path\":\"{}\"}}",
-                        json_escape(&c.name),
-                        json_escape(&c.cost.render()),
-                        json_escape(&c.path)
-                    )
-                })
-                .collect();
-            let ratchet = w.ratchet.as_ref().map_or_else(
-                || "null".to_owned(),
-                |r| {
-                    let row = |d: &wcet::CertDelta| {
-                        format!(
-                            "{{\"root\":\"{}\",\"path\":\"{}\",\"baseline\":{},\"current\":{}}}",
-                            json_escape(&d.name),
-                            json_escape(&d.path),
-                            d.baseline.map_or_else(
-                                || "null".to_owned(),
-                                |c| format!("\"{}\"", json_escape(&c.render()))
-                            ),
-                            d.current.map_or_else(
-                                || "null".to_owned(),
-                                |c| format!("\"{}\"", json_escape(&c.render()))
-                            ),
-                        )
-                    };
-                    let growth: Vec<String> = r.growth.iter().map(row).collect();
-                    let shrink: Vec<String> = r.shrink.iter().map(row).collect();
-                    format!(
-                        "{{\"growth\":[{}],\"shrink\":[{}]}}",
-                        growth.join(","),
-                        shrink.join(",")
-                    )
-                },
-            );
-            format!(
-                "{{\"certificates\":[{}],\"reachable_fns\":{},\"files_scanned\":{},\"loops\":{{\"constant\":{},\"input_bounded\":{},\"waived\":{},\"unbounded\":{}}},\"ratchet\":{}}}",
-                certs.join(","),
-                w.reachable_fns,
-                w.files_scanned,
-                w.loop_stats.constant,
-                w.loop_stats.input_bounded,
-                w.loop_stats.waived,
-                w.loop_stats.unbounded,
-                ratchet
-            )
-        },
-    );
-
-    let det_json = det.map_or_else(
-        || "null".to_owned(),
-        |d| {
-            findings.extend(d.findings.iter().map(finding_json));
-            waived.extend(d.waived.iter().map(finding_json));
-            let sinks: Vec<String> = d
-                .sinks
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{{\"sink\":\"{}\",\"fn\":\"{}\",\"path\":\"{}\",\"line\":{},\"taints\":{},\"status\":\"{}\"}}",
-                        json_escape(&s.name),
-                        json_escape(&s.fn_name),
-                        json_escape(&s.path),
-                        s.line,
-                        s.taints,
-                        if s.taints == 0 {
-                            "clean".to_owned()
-                        } else {
-                            format!("tainted:{}", s.taints)
-                        },
-                    )
-                })
-                .collect();
-            let ratchet = d.ratchet.as_ref().map_or_else(
-                || "null".to_owned(),
-                |r| {
-                    let row = |delta: &detflow::DetDelta| {
-                        format!(
-                            "{{\"sink\":\"{}\",\"path\":\"{}\",\"baseline\":{},\"current\":{}}}",
-                            json_escape(&delta.name),
-                            json_escape(&delta.path),
-                            delta
-                                .baseline
-                                .map_or_else(|| "null".to_owned(), |c| c.to_string()),
-                            delta
-                                .current
-                                .map_or_else(|| "null".to_owned(), |c| c.to_string()),
-                        )
-                    };
-                    let growth: Vec<String> = r.growth.iter().map(row).collect();
-                    let shrink: Vec<String> = r.shrink.iter().map(row).collect();
-                    format!(
-                        "{{\"growth\":[{}],\"shrink\":[{}]}}",
-                        growth.join(","),
-                        shrink.join(",")
-                    )
-                },
-            );
-            format!(
-                "{{\"sinks\":[{}],\"flows\":{},\"fns_analyzed\":{},\"files_scanned\":{},\"ratchet\":{}}}",
-                sinks.join(","),
-                d.flows.len(),
-                d.fns_analyzed,
-                d.files_scanned,
-                ratchet
-            )
-        },
-    );
-
-    format!(
-        "{{\"schema_version\":{},\"mode\":\"{mode}\",\"hot_path\":{hot_json},\"eq_coverage\":{eq_json},\"wcet\":{wcet_json},\"det_flow\":{det_json},\"findings\":[{}],\"waived\":[{}],\"exit_code\":{exit_code}}}",
-        hcperf_lint::report::SCHEMA_VERSION,
-        findings.join(","),
-        waived.join(","),
-    )
 }
 
 #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]

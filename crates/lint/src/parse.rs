@@ -14,9 +14,13 @@
 //! are already spaces, so brace matching and keyword scans are safe, and
 //! test-only functions simply do not exist here.
 
-/// One `fn` item found in a file.
+use crate::source::LineIndex;
+
+/// One `fn` item found in a file: a node of the call graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnItem {
+    /// Workspace-relative path of the defining file.
+    pub path: String,
     /// The function's name.
     pub name: String,
     /// Enclosing `impl`/`trait` type name, if any (`GammaScratch` for
@@ -35,11 +39,22 @@ pub struct FnItem {
     /// True when a `// hcperf-lint: hot-path-root` marker precedes the item.
     pub is_root: bool,
     /// Sink name when a `// hcperf-lint: det-sink(<name>)` marker precedes
-    /// the item (populated by [`parse_file_marked`] only).
+    /// the item.
     pub sink: Option<String>,
     /// True when a `// hcperf-lint: det-sanitizer(<name>)` marker precedes
-    /// the item (populated by [`parse_file_marked`] only).
+    /// the item.
     pub sanitizer: bool,
+}
+
+impl FnItem {
+    /// `Type::name` for methods, `name` for free functions.
+    #[must_use]
+    pub fn qualified(&self) -> String {
+        match &self.impl_type {
+            Some(t) => format!("{t}::{}", self.name),
+            None => self.name.clone(),
+        }
+    }
 }
 
 /// How a call site names its target.
@@ -104,8 +119,6 @@ pub struct LoopSite {
 /// Parse result for one file: items plus, per item, its call sites.
 #[derive(Debug)]
 pub struct ParsedFile {
-    /// Workspace-relative path.
-    pub path: String,
     /// Every `fn` item, in source order.
     pub fns: Vec<FnItem>,
     /// Call sites of `fns[i]` live in `calls[i]`.
@@ -177,32 +190,6 @@ fn lex(masked: &str) -> Vec<Tok> {
         }
     }
     toks
-}
-
-/// Fast byte-offset → 1-based line lookup.
-#[derive(Debug)]
-pub struct LineIndex {
-    newline_offsets: Vec<usize>,
-}
-
-impl LineIndex {
-    /// Builds the index for `text`.
-    #[must_use]
-    pub fn new(text: &str) -> Self {
-        Self {
-            newline_offsets: text
-                .bytes()
-                .enumerate()
-                .filter_map(|(i, b)| (b == b'\n').then_some(i))
-                .collect(),
-        }
-    }
-
-    /// 1-based line containing byte offset `at`.
-    #[must_use]
-    pub fn line_of(&self, at: usize) -> usize {
-        1 + self.newline_offsets.partition_point(|&o| o < at)
-    }
 }
 
 const KEYWORDS: [&str; 20] = [
@@ -636,40 +623,17 @@ fn scan_loops(
     loops
 }
 
-/// Parses one masked file into items and call sites. `root_lines` are the
-/// 1-based lines of `hot-path-root` markers ([`crate::source::MaskedFile`]);
-/// a marker declares the next `fn` item within 3 lines below it a root
-/// (attributes may sit between, doc comments should go above the marker).
-#[must_use]
-pub fn parse_file(path: &str, masked: &str, root_lines: &[usize]) -> ParsedFile {
-    parse_file_inner(path, masked, root_lines, &[], &[])
-}
-
-/// Like [`parse_file`], but also attaches `det-sink(<name>)` /
-/// `det-sanitizer(<name>)` markers from the full [`crate::source::MaskedFile`]
-/// to their `fn` items, using the same next-`fn`-within-3-lines rule as
-/// hot-path-root markers.
+/// Parses one masked file into items, call sites and loops. A
+/// `hot-path-root`, `det-sink(<name>)` or `det-sanitizer(<name>)` marker
+/// ([`crate::source::MaskedFile`]) attaches to the next `fn` item within
+/// 3 lines below it (attributes may sit between, doc comments should go
+/// above the marker).
 #[must_use]
 pub fn parse_file_marked(path: &str, m: &crate::source::MaskedFile) -> ParsedFile {
-    parse_file_inner(
-        path,
-        &m.masked,
-        &m.hot_path_roots,
-        &m.det_sinks,
-        &m.det_sanitizers,
-    )
-}
-
-fn parse_file_inner(
-    path: &str,
-    masked: &str,
-    root_lines: &[usize],
-    sink_markers: &[(usize, String)],
-    sanitizer_markers: &[(usize, String)],
-) -> ParsedFile {
-    let attaches = |m: usize, line: usize| m < line && line <= m + 3;
+    let masked = m.masked.as_str();
+    let attaches = |marker: usize, line: usize| marker < line && line <= marker + 3;
     let toks = lex(masked);
-    let lines = LineIndex::new(masked);
+    let lines = &m.lines;
     let mut fns = Vec::new();
     let mut calls = Vec::new();
     let mut loops = Vec::new();
@@ -688,21 +652,24 @@ fn parse_file_inner(
                     continue;
                 }
                 if word == "fn" {
-                    let (item, body_range, next) = parse_fn(&toks, i, masked, &lines, &scopes);
+                    let (item, body_range, next) = parse_fn(&toks, i, masked, lines, &scopes);
                     if let Some(mut item) = item {
-                        item.is_root = root_lines.iter().any(|&m| attaches(m, item.line));
-                        item.sink = sink_markers
+                        item.path = path.to_owned();
+                        item.is_root = m.hot_path_roots.iter().any(|&r| attaches(r, item.line));
+                        item.sink = m
+                            .det_sinks
                             .iter()
-                            .find(|(m, _)| attaches(*m, item.line))
+                            .find(|(r, _)| attaches(*r, item.line))
                             .map(|(_, name)| name.clone());
-                        item.sanitizer = sanitizer_markers
+                        item.sanitizer = m
+                            .det_sanitizers
                             .iter()
-                            .any(|(m, _)| attaches(*m, item.line));
+                            .any(|(r, _)| attaches(*r, item.line));
                         let sites = body_range
-                            .map(|(from, to)| scan_calls(&toks, from, to, masked, &lines))
+                            .map(|(from, to)| scan_calls(&toks, from, to, masked, lines))
                             .unwrap_or_default();
                         let loop_sites = body_range
-                            .map(|(from, to)| scan_loops(&toks, from, to, masked, &lines))
+                            .map(|(from, to)| scan_loops(&toks, from, to, masked, lines))
                             .unwrap_or_default();
                         fns.push(item);
                         calls.push(sites);
@@ -724,12 +691,7 @@ fn parse_file_inner(
             _ => i += 1,
         }
     }
-    ParsedFile {
-        path: path.to_owned(),
-        fns,
-        calls,
-        loops,
-    }
+    ParsedFile { fns, calls, loops }
 }
 
 /// Parses a `fn` item starting at the `fn` keyword token. Returns the item,
@@ -779,39 +741,25 @@ fn parse_fn(
         }
         k += 1;
     }
-    let impl_type = scopes.iter().rev().find_map(Clone::clone);
-    let line = lines.line_of(toks[at].start);
-    match body_open {
-        Some(open) => {
-            let close = match_braces(toks, open);
-            let item = FnItem {
-                name,
-                impl_type,
-                arity,
-                has_self,
-                line,
-                body: Some((toks[open].start, toks[close].end)),
-                is_root: false,
-                sink: None,
-                sanitizer: false,
-            };
-            (Some(item), Some((open + 1, close)), close + 1)
-        }
-        None => {
-            let item = FnItem {
-                name,
-                impl_type,
-                arity,
-                has_self,
-                line,
-                body: None,
-                is_root: false,
-                sink: None,
-                sanitizer: false,
-            };
-            (Some(item), None, k + 1)
-        }
-    }
+    let span = body_open.map(|open| (open, match_braces(toks, open)));
+    let item = FnItem {
+        path: String::new(),
+        name,
+        impl_type: scopes.iter().rev().find_map(Clone::clone),
+        arity,
+        has_self,
+        line: lines.line_of(toks[at].start),
+        body: span.map(|(open, close)| (toks[open].start, toks[close].end)),
+        is_root: false,
+        sink: None,
+        sanitizer: false,
+    };
+    let next = span.map_or(k + 1, |(_, close)| close + 1);
+    (
+        Some(item),
+        span.map(|(open, close)| (open + 1, close)),
+        next,
+    )
 }
 
 #[cfg(test)]
@@ -820,8 +768,7 @@ mod tests {
     use crate::source::mask;
 
     fn parse(src: &str) -> ParsedFile {
-        let m = mask(src);
-        parse_file("t.rs", &m.masked, &m.hot_path_roots)
+        parse_file_marked("t.rs", &mask(src))
     }
 
     #[test]

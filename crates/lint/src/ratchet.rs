@@ -1,155 +1,312 @@
-//! The `unwrap()`/`expect()` ratchet: counts in library code are compared
-//! against a checked-in baseline that may only shrink.
+//! The one ratchet: every measured quantity that may only shrink, in one
+//! checked-in file, [`RATCHET_PATH`]. A row is keyed by
+//! `(analysis, name, path)` and holds an ordered [`Value`]: unwrap and
+//! hot-path site counts, WCET cost certificates, det-flow exposure.
+//! Counts of zero are not rows. A measured row missing from the file is
+//! growth (a new unwrap file, root or sink must be recorded
+//! deliberately); a recorded row that is no longer measured is shrink.
 
 use std::collections::BTreeMap;
 
-/// Per-file comparison against the baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RatchetDelta {
-    /// Workspace-relative path.
-    pub path: String,
-    /// Count recorded in the baseline (0 when absent — new files must be
-    /// `unwrap`-free or the baseline must be deliberately updated).
-    pub baseline: usize,
-    /// Count measured by this run.
-    pub current: usize,
+use crate::wcet::Cost;
+
+/// Workspace-relative path of the checked-in ratchet file.
+pub const RATCHET_PATH: &str = "crates/lint/ratchet.txt";
+
+/// The analysis a ratchet row belongs to; fixes how its value reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Analysis {
+    /// `unwrap()`/`expect()` counts per file.
+    Unwrap,
+    /// Hot-path allocation / panic counts per `(rule, file)`.
+    HotPath,
+    /// Per-root WCET certificates.
+    Wcet,
+    /// Per-sink det-flow certificates.
+    DetFlow,
 }
 
-/// Outcome of the ratchet comparison.
-#[derive(Debug, Default)]
-pub struct RatchetReport {
-    /// Files whose count grew past the baseline (fails the run).
-    pub growth: Vec<RatchetDelta>,
-    /// Files whose count shrank (passes; refresh via `--update-baseline`).
-    pub shrink: Vec<RatchetDelta>,
-    /// Sum of measured counts.
-    pub current_total: usize,
-    /// Sum of baseline counts.
-    pub baseline_total: usize,
-}
+impl Analysis {
+    const ALL: [Analysis; 4] = [
+        Analysis::Unwrap,
+        Analysis::HotPath,
+        Analysis::Wcet,
+        Analysis::DetFlow,
+    ];
 
-impl RatchetReport {
-    /// True when no file grew.
+    /// The name in the file's first column.
     #[must_use]
-    pub fn ok(&self) -> bool {
-        self.growth.is_empty()
+    pub fn name(self) -> &'static str {
+        match self {
+            Analysis::Unwrap => "unwrap",
+            Analysis::HotPath => "hot-path",
+            Analysis::Wcet => "wcet",
+            Analysis::DetFlow => "det-flow",
+        }
+    }
+
+    fn parse_value(self, s: &str) -> Option<Value> {
+        match self {
+            Analysis::Unwrap | Analysis::HotPath => s.parse().ok().map(Value::Count),
+            Analysis::Wcet => Cost::parse(s).map(Value::Cost),
+            Analysis::DetFlow => match s {
+                "clean" => Some(Value::Taints(0)),
+                _ => match s.strip_prefix("tainted:")?.parse() {
+                    Ok(n) if n > 0 => Some(Value::Taints(n)),
+                    _ => None,
+                },
+            },
+        }
     }
 }
 
-/// Parses a baseline file: `#` comment lines plus `count<TAB>path` rows.
+/// A row's measured value. Rows of one analysis always hold the same
+/// variant, so the derived order compares like with like.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Value {
+    /// A site count.
+    Count(usize),
+    /// A symbolic cost bound.
+    Cost(Cost),
+    /// Distinct nondeterminism sources reaching a sink (0 = clean).
+    Taints(usize),
+}
+
+impl Value {
+    /// The file notation.
+    #[must_use]
+    pub fn render(self) -> String {
+        match self {
+            Value::Count(n) => n.to_string(),
+            Value::Cost(c) => c.render(),
+            Value::Taints(0) => "clean".to_owned(),
+            Value::Taints(n) => format!("tainted:{n}"),
+        }
+    }
+
+    /// The JSON notation: counts as numbers, costs as strings.
+    #[must_use]
+    pub fn json(self) -> String {
+        match self {
+            Value::Count(n) | Value::Taints(n) => n.to_string(),
+            Value::Cost(c) => format!("\"{}\"", c.render()),
+        }
+    }
+}
+
+/// `(analysis, name, path)`.
+pub type Key = (Analysis, String, String);
+
+/// Ratchet rows in key order.
+pub type Rows = BTreeMap<Key, Value>;
+
+/// One row that differs from the recorded file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Delta {
+    /// The row key.
+    pub key: Key,
+    /// Recorded value (`None` = the row is new).
+    pub baseline: Option<Value>,
+    /// Measured value (`None` = the row is gone).
+    pub current: Option<Value>,
+}
+
+impl Delta {
+    /// The `name` column.
+    #[must_use]
+    pub fn name(&self) -> &str {
+        &self.key.1
+    }
+
+    /// The `path` column.
+    #[must_use]
+    pub fn path(&self) -> &str {
+        &self.key.2
+    }
+}
+
+/// Outcome of comparing measured rows with the recorded file.
+#[derive(Debug, Default, Clone)]
+pub struct Comparison {
+    /// New rows and rows whose value grew (fail the run).
+    pub growth: Vec<Delta>,
+    /// Rows whose value shrank or that are gone (pass; refresh the file).
+    pub shrink: Vec<Delta>,
+}
+
+impl Comparison {
+    /// The deltas of one analysis.
+    #[must_use]
+    pub fn of(&self, analysis: Analysis) -> Comparison {
+        let pick = |ds: &[Delta]| ds.iter().filter(|d| d.key.0 == analysis).cloned().collect();
+        Comparison {
+            growth: pick(&self.growth),
+            shrink: pick(&self.shrink),
+        }
+    }
+}
+
+/// Parses the file: `#` comment lines plus
+/// `analysis<TAB>name<TAB>value<TAB>path` rows.
 ///
 /// # Errors
 ///
 /// Returns a message describing the first malformed row.
-pub fn parse_baseline(text: &str) -> Result<BTreeMap<String, usize>, String> {
-    let mut map = BTreeMap::new();
+pub fn parse(text: &str) -> Result<Rows, String> {
+    let mut rows = Rows::new();
     for (idx, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (count, path) = line
-            .split_once('\t')
-            .ok_or_else(|| format!("baseline line {}: expected `count<TAB>path`", idx + 1))?;
-        let count: usize = count
-            .trim()
-            .parse()
-            .map_err(|_| format!("baseline line {}: bad count `{count}`", idx + 1))?;
-        map.insert(path.trim().to_owned(), count);
+        let bad = |what: &str| format!("ratchet line {}: {what}", idx + 1);
+        let cols: Vec<&str> = line.splitn(4, '\t').map(str::trim).collect();
+        let [analysis, name, value, path] = cols[..] else {
+            return Err(bad("expected `analysis<TAB>name<TAB>value<TAB>path`"));
+        };
+        let analysis = Analysis::ALL
+            .into_iter()
+            .find(|a| a.name() == analysis)
+            .ok_or_else(|| bad(&format!("unknown analysis `{analysis}`")))?;
+        let value = analysis
+            .parse_value(value)
+            .ok_or_else(|| bad(&format!("bad {} value `{value}`", analysis.name())))?;
+        rows.insert((analysis, name.to_owned(), path.to_owned()), value);
     }
-    Ok(map)
+    Ok(rows)
 }
 
-/// Renders a baseline file from measured counts (zero-count files omitted).
+/// Renders the file from measured rows.
 #[must_use]
-pub fn render_baseline(counts: &BTreeMap<String, usize>) -> String {
+pub fn render(rows: &Rows) -> String {
     let mut out = String::from(
-        "# hcperf-lint unwrap-ratchet baseline: `.unwrap()`/`.expect(` occurrences in\n\
-         # library code (tests and waived lines excluded). This file may only shrink;\n\
-         # regenerate with `cargo run -p hcperf-lint -- --update-baseline`.\n",
+        "# hcperf-lint ratchet: measured quantities that may only shrink.\n\
+         # Rows are `analysis<TAB>name<TAB>value<TAB>path`:\n\
+         #   unwrap   unwrap-ratchet  .unwrap()/.expect( sites in library code\n\
+         #   hot-path <rule>          alloc/panic sites reachable from hot-path roots\n\
+         #   wcet     <root>          symbolic cost O(n^d log^l n) of a hot-path root\n\
+         #   det-flow <sink>          `clean` or `tainted:<N>` sources reaching a det-sink\n\
+         # Regenerate deliberately with `cargo run -p hcperf-lint -- --update-baselines`.\n",
     );
-    for (path, count) in counts {
-        if *count > 0 {
-            out.push_str(&format!("{count}\t{path}\n"));
-        }
+    for ((analysis, name, path), value) in rows {
+        out.push_str(&format!(
+            "{}\t{name}\t{}\t{path}\n",
+            analysis.name(),
+            value.render()
+        ));
     }
     out
 }
 
-/// Compares measured counts against the baseline.
+/// Compares measured rows with the recorded ones.
 #[must_use]
-pub fn compare(
-    counts: &BTreeMap<String, usize>,
-    baseline: &BTreeMap<String, usize>,
-) -> RatchetReport {
-    let mut report = RatchetReport::default();
-    for (path, &current) in counts {
-        let base = baseline.get(path).copied().unwrap_or(0);
-        report.current_total += current;
-        let delta = RatchetDelta {
-            path: path.clone(),
+pub fn compare(current: &Rows, baseline: &Rows) -> Comparison {
+    let mut cmp = Comparison::default();
+    for (key, &now) in current {
+        let base = baseline.get(key).copied();
+        let delta = Delta {
+            key: key.clone(),
             baseline: base,
-            current,
+            current: Some(now),
         };
-        if current > base {
-            report.growth.push(delta);
-        } else if current < base {
-            report.shrink.push(delta);
+        match base {
+            Some(b) if now < b => cmp.shrink.push(delta),
+            Some(b) if now == b => {}
+            _ => cmp.growth.push(delta),
         }
     }
-    for (path, &base) in baseline {
-        report.baseline_total += base;
-        if !counts.contains_key(path) && base > 0 {
-            // File deleted (or no longer scanned): pure shrink.
-            report.shrink.push(RatchetDelta {
-                path: path.clone(),
-                baseline: base,
-                current: 0,
+    for (key, &base) in baseline {
+        if !current.contains_key(key) {
+            cmp.shrink.push(Delta {
+                key: key.clone(),
+                baseline: Some(base),
+                current: None,
             });
         }
     }
-    report.shrink.sort_by(|a, b| a.path.cmp(&b.path));
-    report
+    cmp.shrink.sort_by(|a, b| a.key.cmp(&b.key));
+    cmp
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn counts(pairs: &[(&str, usize)]) -> BTreeMap<String, usize> {
-        pairs.iter().map(|(p, c)| ((*p).to_owned(), *c)).collect()
+    fn rows(list: &[(Analysis, &str, Value, &str)]) -> Rows {
+        list.iter()
+            .map(|(a, n, v, p)| ((*a, (*n).to_owned(), (*p).to_owned()), *v))
+            .collect()
+    }
+
+    fn unwraps(pairs: &[(&str, usize)]) -> Rows {
+        let list: Vec<_> = pairs
+            .iter()
+            .map(|(p, c)| (Analysis::Unwrap, "unwrap-ratchet", Value::Count(*c), *p))
+            .collect();
+        rows(&list)
     }
 
     #[test]
     fn round_trips_through_render_and_parse() {
-        let c = counts(&[("a.rs", 3), ("b.rs", 0), ("c.rs", 7)]);
-        let parsed = parse_baseline(&render_baseline(&c)).unwrap();
-        assert_eq!(parsed, counts(&[("a.rs", 3), ("c.rs", 7)]));
+        let all = rows(&[
+            (Analysis::Unwrap, "unwrap-ratchet", Value::Count(3), "a.rs"),
+            (Analysis::HotPath, "hot-path-alloc", Value::Count(7), "c.rs"),
+            (
+                Analysis::Wcet,
+                "Sim::try_dispatch",
+                Value::Cost(Cost::N_LOG_N),
+                "s.rs",
+            ),
+            (Analysis::DetFlow, "out", Value::Taints(0), "p.rs"),
+            (Analysis::DetFlow, "log", Value::Taints(2), "q.rs"),
+        ]);
+        assert_eq!(parse(&render(&all)).unwrap(), all);
     }
 
     #[test]
     fn growth_fails_shrink_passes() {
-        let baseline = counts(&[("a.rs", 5), ("gone.rs", 2)]);
-        let grown = compare(&counts(&[("a.rs", 6)]), &baseline);
-        assert!(!grown.ok());
-        assert_eq!(grown.growth[0].current, 6);
+        let baseline = unwraps(&[("a.rs", 5), ("gone.rs", 2)]);
+        let grown = compare(&unwraps(&[("a.rs", 6), ("gone.rs", 2)]), &baseline);
+        assert_eq!(grown.growth.len(), 1);
+        assert_eq!(grown.growth[0].current, Some(Value::Count(6)));
 
-        let shrunk = compare(&counts(&[("a.rs", 4)]), &baseline);
-        assert!(shrunk.ok());
+        let shrunk = compare(&unwraps(&[("a.rs", 4)]), &baseline);
+        assert!(shrunk.growth.is_empty());
         // Both the reduced file and the deleted one register as shrink.
         assert_eq!(shrunk.shrink.len(), 2);
+        assert_eq!(shrunk.shrink[1].current, None);
     }
 
     #[test]
     fn new_file_with_unwraps_is_growth() {
-        let r = compare(&counts(&[("new.rs", 1)]), &BTreeMap::new());
-        assert!(!r.ok());
+        let r = compare(&unwraps(&[("new.rs", 1)]), &Rows::new());
+        assert_eq!(r.growth.len(), 1);
+        assert_eq!(r.growth[0].baseline, None);
     }
 
     #[test]
     fn rejects_malformed_baseline() {
-        assert!(parse_baseline("nonsense").is_err());
-        assert!(parse_baseline("x\ta.rs").is_err());
-        assert!(parse_baseline("# comment\n3\ta.rs\n").is_ok());
+        assert!(parse("nonsense").is_err());
+        assert!(parse("unwrap\tunwrap-ratchet\tx\ta.rs").is_err());
+        assert!(parse("bogus\tn\t3\ta.rs").is_err());
+        assert!(parse("# comment\nunwrap\tunwrap-ratchet\t3\ta.rs\n").is_ok());
+    }
+
+    #[test]
+    fn comparison_splits_by_analysis() {
+        let baseline = rows(&[
+            (Analysis::Unwrap, "unwrap-ratchet", Value::Count(1), "a.rs"),
+            (Analysis::Wcet, "root", Value::Cost(Cost::LINEAR), "a.rs"),
+        ]);
+        let current = rows(&[
+            (Analysis::Unwrap, "unwrap-ratchet", Value::Count(2), "a.rs"),
+            (Analysis::Wcet, "root", Value::Cost(Cost::ONE), "a.rs"),
+        ]);
+        let cmp = compare(&current, &baseline);
+        assert_eq!(cmp.of(Analysis::Unwrap).growth.len(), 1);
+        assert!(cmp.of(Analysis::Unwrap).shrink.is_empty());
+        assert!(cmp.of(Analysis::Wcet).growth.is_empty());
+        assert_eq!(cmp.of(Analysis::Wcet).shrink.len(), 1);
+        assert!(cmp.of(Analysis::DetFlow).growth.is_empty());
     }
 }

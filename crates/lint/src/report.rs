@@ -1,75 +1,83 @@
-//! Rule identifiers, findings, and the human / JSON renderers.
+//! Rule identifiers, findings, report sections, and the human / JSON
+//! renderers.
 
 use std::fmt;
 
-/// Version stamp carried by every `--json` report shape. Bump when a
+use crate::ratchet::{Comparison, Delta};
+use crate::workspace::SourceFile;
+
+/// Version stamp carried by the `--json` report. Bump when a
 /// consumer-visible key is added, removed, or retyped. Version 2 added
-/// the `det_flow` section and structured `chain` arrays on findings.
-pub const SCHEMA_VERSION: u32 = 2;
+/// the `det_flow` section and structured `chain` arrays on findings;
+/// version 3 made the report one document with every section, each with
+/// its own findings, ratchet deltas and exit code.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Process exit codes, one per failure class so CI logs are unambiguous.
 pub mod exit {
     /// No findings, ratchet within baseline, every audit target feasible.
     pub const CLEAN: i32 = 0;
-    /// Unwaived source-rule findings (including malformed waivers).
+    /// Unwaived findings (including malformed waivers and markers).
     pub const FINDINGS: i32 = 1;
-    /// `unwrap()`/`expect()` count grew past the checked-in baseline.
+    /// A ratchet row grew past `crates/lint/ratchet.txt`.
     pub const RATCHET: i32 = 2;
     /// A task graph or scenario preset failed the schedulability audit.
     pub const SCHEDULABILITY: i32 = 3;
-    /// Bad command line, unreadable workspace, or missing baseline.
+    /// Bad command line, unreadable workspace, or missing ratchet file.
     pub const USAGE: i32 = 4;
+
+    /// The process exit code over per-section codes: the first of
+    /// [`SCHEDULABILITY`], [`FINDINGS`], [`RATCHET`] any section reports,
+    /// else [`CLEAN`]. An infeasible target invalidates the paper's timing
+    /// claim whatever else holds; a ratchet row can be re-recorded
+    /// deliberately, so growth ranks last.
+    #[must_use]
+    pub fn combine(codes: impl IntoIterator<Item = i32>) -> i32 {
+        let codes: Vec<i32> = codes.into_iter().collect();
+        [SCHEDULABILITY, FINDINGS, RATCHET]
+            .into_iter()
+            .find(|c| codes.contains(c))
+            .unwrap_or(CLEAN)
+    }
 }
 
-/// The rule families enforced by the source pass.
+/// The rules every analysis reports findings under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// `Instant` / `SystemTime` / `thread::sleep` outside `harness`/`bench`.
     WallClock,
-    /// `HashMap` / `HashSet` in deterministic crates (iteration order is
-    /// seeded per process; use `BTreeMap` or an indexed `Vec`).
+    /// `HashMap` / `HashSet` in deterministic crates: per-process order.
     UnorderedIteration,
     /// `thread_rng` / `from_entropy` / `RandomState`: ambient entropy.
     Entropy,
     /// `==` / `!=` against float operands outside approx helpers.
     FloatEq,
-    /// `unwrap()` / `expect()` in library code, ratcheted against a
-    /// baseline that may only shrink.
+    /// `unwrap()` / `expect()` in library code, counted per file.
     UnwrapRatchet,
     /// A `hcperf-lint:` comment that does not parse as a waiver.
     WaiverSyntax,
-    /// An allocation construct (`vec!`, `Vec::new`, `collect`, …) in a
-    /// function reachable from a declared hot-path root, ratcheted against
-    /// `crates/lint/hotpath_baseline.txt`.
+    /// An allocation (`vec!`, `collect`, …) in hot-path-reachable code.
     HotPathAlloc,
-    /// `unwrap`/`expect`/`panic!`/slice-indexing in the hot-path reachable
-    /// set — a stricter, separate ratchet from the workspace-wide one.
+    /// A panic source (`unwrap`, `panic!`, slice indexing) in
+    /// hot-path-reachable code.
     HotPathPanic,
     /// A paper equation (Eq. 2–12) missing an implementation or test tag,
     /// or an `Eq. N` tag naming an equation the paper does not define.
     EqCoverage,
-    /// A loop in a hot-path-reachable function that the WCET pass cannot
-    /// bound (bare `loop`, convergence `while`, …). Waiving asserts a
-    /// bound the lexer cannot see; the loop then counts as input-bounded.
+    /// A hot-path-reachable loop with no visible bound; a waiver asserts
+    /// one, and the loop then counts as input-bounded.
     WcetUnbounded,
-    /// A blocking construct (file/socket I/O, `Mutex`/`RwLock`, channel
-    /// `recv`, `thread::sleep`, `println!`) in hot-path-reachable code —
-    /// unbounded *latency* rather than unbounded iteration.
+    /// Blocking (I/O, locks, channel `recv`, sleep, printing) in
+    /// hot-path-reachable code: unbounded latency.
     HotPathBlocking,
-    /// A hot-path root's symbolic cost certificate grew past
-    /// `crates/lint/wcet_certificates.txt` (higher polynomial degree, new
-    /// log factor, or a new/unbounded root). Not waivable: regenerate the
-    /// certificate file deliberately via `--update-baselines`.
+    /// A root's cost certificate grew past its `wcet` ratchet row. Not
+    /// waivable: re-record deliberately via `--update-baselines`.
     WcetCert,
-    /// A nondeterminism source (unordered iteration, wall-clock value,
-    /// channel arrival order, …) flows — possibly through several calls —
-    /// into a declared `det-sink` whose certificate in
-    /// `crates/lint/detflow_certificates.txt` says it is clean. Waivable at
-    /// the *source* site with a reason; the finding anchors at the sink
-    /// and carries the full call chain.
+    /// A nondeterminism source flows into a `det-sink` past its `det-flow`
+    /// ratchet row. Waivable at the source; carries the call chain.
     DetFlow,
-    /// A malformed `det-sink(…)` / `det-sanitizer(…)` declaration: the
-    /// marker does not attach to a `fn` item, or two sinks share a name.
+    /// A `det-sink(…)` / `det-sanitizer(…)` marker that attaches to no
+    /// `fn`, or a sink name declared twice.
     DetSink,
 }
 
@@ -118,6 +126,17 @@ impl Rule {
     pub fn parse(name: &str) -> Option<Rule> {
         Rule::ALL.into_iter().find(|r| r.name() == name)
     }
+
+    /// True for rules whose unwaived findings only ever report ratchet
+    /// growth (a grown hot-path row's sites, a grown certificate); every
+    /// other unwaived finding fails its section on its own.
+    #[must_use]
+    pub fn reports_growth(self) -> bool {
+        matches!(
+            self,
+            Rule::HotPathAlloc | Rule::HotPathPanic | Rule::WcetCert | Rule::DetFlow
+        )
+    }
 }
 
 impl fmt::Display for Rule {
@@ -160,6 +179,29 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// An unwaived finding at 1-based `line` of `src`, quoting that line.
+    #[must_use]
+    pub fn at(rule: Rule, src: &SourceFile, line: usize, message: String) -> Finding {
+        Finding {
+            rule,
+            path: src.rel.clone(),
+            line,
+            snippet: src.snippet(line),
+            message,
+            waived: None,
+            chain: Vec::new(),
+        }
+    }
+
+    /// The same finding, waived with `reason` (`None` leaves it unwaived).
+    #[must_use]
+    pub fn waived(self, reason: Option<String>) -> Finding {
+        Finding {
+            waived: reason,
+            ..self
+        }
+    }
+
     /// Renders the `file:line: [rule] message` human diagnostic.
     #[must_use]
     pub fn render(&self) -> String {
@@ -175,6 +217,11 @@ impl Finding {
         }
         s
     }
+}
+
+/// Sorts findings by (path, line, rule), the report order.
+pub fn sort_findings(findings: &mut [Finding]) {
+    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
 }
 
 /// Escapes a string for inclusion in a JSON document.
@@ -195,10 +242,10 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serializes a finding as a JSON object. Every finding — source rule,
-/// hot-path, Eq. coverage, and (via [`tagged_finding_json`]) the
-/// schedulability audit — carries the same `rule`/`severity`/`target`
-/// keys, so downstream tooling parses one schema.
+/// Serializes a finding as a JSON object. Every finding — file-anchored
+/// or (via [`tagged_finding_json`]) from the schedulability audit —
+/// carries the same `rule`/`severity`/`target` keys, so downstream
+/// tooling parses one schema.
 #[must_use]
 pub fn finding_json(f: &Finding) -> String {
     let severity = if f.waived.is_some() {
@@ -260,6 +307,137 @@ pub fn json_opt_f64(v: Option<f64>) -> String {
     }
 }
 
+/// One analysis's part of the report.
+#[derive(Debug)]
+pub struct Section {
+    /// JSON key (`source`, `hot_path`, …).
+    pub name: &'static str,
+    /// Unwaived file-anchored findings.
+    pub findings: Vec<Finding>,
+    /// Waived findings with their reasons.
+    pub waived: Vec<Finding>,
+    /// Findings without a file anchor (the schedulability audit's),
+    /// rendered in the shared JSON finding schema.
+    pub tagged: Vec<String>,
+    /// This section's ratchet deltas; `None` when it has no ratchet rows.
+    pub ratchet: Option<Comparison>,
+    /// Section-specific JSON members, each `"key":value`.
+    pub json: Vec<String>,
+    /// Human lines after the findings and ratchet notes; the last one is
+    /// the section summary.
+    pub lines: Vec<String>,
+    /// The section's own exit code.
+    pub exit_code: i32,
+}
+
+impl Section {
+    /// A section whose exit code follows from its findings and ratchet:
+    /// [`exit::FINDINGS`] for any finding that is not a growth report,
+    /// else [`exit::RATCHET`] for any growth, else clean.
+    #[must_use]
+    pub fn new(
+        name: &'static str,
+        findings: Vec<Finding>,
+        waived: Vec<Finding>,
+        ratchet: Option<Comparison>,
+    ) -> Section {
+        let exit_code = if findings.iter().any(|f| !f.rule.reports_growth()) {
+            exit::FINDINGS
+        } else if ratchet.as_ref().is_some_and(|r| !r.growth.is_empty()) {
+            exit::RATCHET
+        } else {
+            exit::CLEAN
+        };
+        Section {
+            name,
+            findings,
+            waived,
+            tagged: Vec::new(),
+            ratchet,
+            json: Vec::new(),
+            lines: Vec::new(),
+            exit_code,
+        }
+    }
+
+    /// Human diagnostics: findings, ratchet growth and shrink, then the
+    /// section's own lines.
+    #[must_use]
+    pub fn render_human(&self) -> String {
+        let mut out = String::new();
+        for f in &self.findings {
+            out.push_str(&f.render());
+            out.push('\n');
+        }
+        let show = |v: Option<crate::ratchet::Value>, none: &str| {
+            v.map_or_else(|| none.to_owned(), crate::ratchet::Value::render)
+        };
+        for d in self.ratchet.iter().flat_map(|r| &r.growth) {
+            out.push_str(&format!(
+                "{}: [{} {}] {} grew past the ratchet ({})\n",
+                d.path(),
+                d.key.0.name(),
+                d.name(),
+                show(d.current, "?"),
+                show(d.baseline, "no row"),
+            ));
+        }
+        for d in self.ratchet.iter().flat_map(|r| &r.shrink) {
+            out.push_str(&format!(
+                "note: {}: [{} {}] shrank to {} (was {}); refresh with --update-baselines\n",
+                d.path(),
+                d.key.0.name(),
+                d.name(),
+                show(d.current, "nothing"),
+                show(d.baseline, "?"),
+            ));
+        }
+        for line in &self.lines {
+            out.push_str(line);
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The section's JSON object.
+    #[must_use]
+    pub fn render_json(&self) -> String {
+        let list = |items: Vec<String>| format!("[{}]", items.join(","));
+        let mut members = self.json.clone();
+        let findings = self.findings.iter().map(finding_json);
+        members.push(format!(
+            "\"findings\":{}",
+            list(findings.chain(self.tagged.iter().cloned()).collect())
+        ));
+        members.push(format!(
+            "\"waived\":{}",
+            list(self.waived.iter().map(finding_json).collect())
+        ));
+        if let Some(r) = &self.ratchet {
+            let rows = |ds: &[Delta]| list(ds.iter().map(delta_json).collect());
+            members.push(format!(
+                "\"ratchet\":{{\"growth\":{},\"shrink\":{}}}",
+                rows(&r.growth),
+                rows(&r.shrink)
+            ));
+        }
+        members.push(format!("\"exit_code\":{}", self.exit_code));
+        format!("{{{}}}", members.join(","))
+    }
+}
+
+fn delta_json(d: &Delta) -> String {
+    let value =
+        |v: Option<crate::ratchet::Value>| v.map_or_else(|| "null".to_owned(), |v| v.json());
+    format!(
+        "{{\"name\":\"{}\",\"path\":\"{}\",\"baseline\":{},\"current\":{}}}",
+        json_escape(d.name()),
+        json_escape(d.path()),
+        value(d.baseline),
+        value(d.current),
+    )
+}
+
 /// Renders unwaived findings as GitHub Actions workflow commands
 /// (`::error file=…,line=…::…`) so lint hits surface inline on PRs.
 /// Annotation property values must not contain `,`/`::` ambiguity, so the
@@ -303,6 +481,15 @@ mod tests {
             assert_eq!(Rule::parse(rule.name()), Some(rule));
         }
         assert_eq!(Rule::parse("no-such-rule"), None);
+    }
+
+    #[test]
+    fn exit_precedence_is_schedulability_findings_ratchet() {
+        use exit::*;
+        assert_eq!(combine([CLEAN, CLEAN]), CLEAN);
+        assert_eq!(combine([RATCHET, CLEAN]), RATCHET);
+        assert_eq!(combine([RATCHET, FINDINGS]), FINDINGS);
+        assert_eq!(combine([FINDINGS, SCHEDULABILITY, RATCHET]), SCHEDULABILITY);
     }
 
     #[test]

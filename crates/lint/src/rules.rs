@@ -1,7 +1,10 @@
-//! The rule families and the per-file scan.
+//! The rule families, the per-file scan, and the source section: the
+//! rules plus the unwrap ratchet over every file a rule set applies to.
 
-use crate::report::{Finding, Rule};
-use crate::source::{mask, Waiver};
+use crate::ratchet::{Analysis, Comparison, Rows, Value};
+use crate::report::{Finding, Rule, Section};
+use crate::source::Words;
+use crate::workspace::SourceFile;
 
 /// Which rule families apply to a file (derived from its crate).
 #[derive(Debug, Clone, Copy)]
@@ -16,7 +19,7 @@ pub struct RuleSet {
 }
 
 impl RuleSet {
-    /// Every rule family (the six deterministic crates).
+    /// Every rule family (the deterministic crates).
     pub const FULL: RuleSet = RuleSet {
         wall_clock: true,
         determinism: true,
@@ -40,12 +43,26 @@ impl RuleSet {
     };
 }
 
-/// Identifier-style patterns per rule. Matched on masked source with
-/// identifier boundaries on both sides, so `Instant` does not fire inside
-/// `InstantLike` and never inside comments, strings, or test modules.
-const WALL_CLOCK_PATTERNS: [&str; 3] = ["Instant", "SystemTime", "thread::sleep"];
-const UNORDERED_PATTERNS: [&str; 2] = ["HashMap", "HashSet"];
-const ENTROPY_PATTERNS: [&str; 3] = ["thread_rng", "from_entropy", "RandomState"];
+const WALL_CLOCK: &str =
+    "wall-clock access breaks replayability; take times from the simulation clock";
+const UNORDERED: &str =
+    "iteration order is seeded per process; use BTreeMap/BTreeSet or an indexed Vec";
+const ENTROPY: &str = "ambient entropy is not replayable; derive randomness from the scenario seed";
+
+/// Identifier-style patterns with their rule and advice. Matched on
+/// masked source with identifier boundaries on both sides, so `Instant`
+/// does not fire inside `InstantLike` and never inside comments, strings,
+/// or test modules.
+const WORD_RULES: [(&str, Rule, &str); 8] = [
+    ("Instant", Rule::WallClock, WALL_CLOCK),
+    ("SystemTime", Rule::WallClock, WALL_CLOCK),
+    ("thread::sleep", Rule::WallClock, WALL_CLOCK),
+    ("HashMap", Rule::UnorderedIteration, UNORDERED),
+    ("HashSet", Rule::UnorderedIteration, UNORDERED),
+    ("thread_rng", Rule::Entropy, ENTROPY),
+    ("from_entropy", Rule::Entropy, ENTROPY),
+    ("RandomState", Rule::Entropy, ENTROPY),
+];
 
 /// Result of scanning one file.
 #[derive(Debug)]
@@ -62,17 +79,21 @@ pub struct FileScan {
 /// Scans one file's source text under `rules`.
 #[must_use]
 pub fn scan_file(path: &str, source: &str, rules: RuleSet) -> FileScan {
-    let masked = mask(source);
-    let lines: Vec<&str> = source.lines().collect();
+    scan(&SourceFile::new(path, "", source.to_owned()), rules)
+}
+
+/// Scans one loaded file under `rules`.
+#[must_use]
+pub fn scan(file: &SourceFile, rules: RuleSet) -> FileScan {
+    let masked = &file.masked;
     let mut raw: Vec<Finding> = Vec::new();
 
     for w in &masked.waivers {
         if w.rule.is_none() {
-            raw.push(finding(
+            raw.push(Finding::at(
                 Rule::WaiverSyntax,
-                path,
+                file,
                 w.line,
-                &lines,
                 format!(
                     "malformed waiver `{}`; expected `hcperf-lint: allow(<rule>): <reason>`",
                     w.reason
@@ -81,43 +102,29 @@ pub fn scan_file(path: &str, source: &str, rules: RuleSet) -> FileScan {
         }
     }
 
-    if rules.wall_clock {
-        scan_words(
-            &mut raw,
-            path,
-            &masked.masked,
-            &lines,
-            &WALL_CLOCK_PATTERNS,
-            Rule::WallClock,
-            "wall-clock access breaks replayability; take times from the simulation clock",
-        );
+    let words = Words::new(WORD_RULES.iter().map(|w| w.0));
+    for (k, at) in words.find(&masked.masked, (0, masked.masked.len())) {
+        let (pat, rule, message) = WORD_RULES[k];
+        let on = if rule == Rule::WallClock {
+            rules.wall_clock
+        } else {
+            rules.determinism
+        };
+        if on {
+            let line = masked.lines.line_of(at);
+            raw.push(Finding::at(rule, file, line, format!("`{pat}`: {message}")));
+        }
     }
+    // Waiver and word findings interleave; report in line order.
+    raw.sort_by_key(|a| (a.line, a.rule));
     if rules.determinism {
-        scan_words(
-            &mut raw,
-            path,
-            &masked.masked,
-            &lines,
-            &UNORDERED_PATTERNS,
-            Rule::UnorderedIteration,
-            "iteration order is seeded per process; use BTreeMap/BTreeSet or an indexed Vec",
-        );
-        scan_words(
-            &mut raw,
-            path,
-            &masked.masked,
-            &lines,
-            &ENTROPY_PATTERNS,
-            Rule::Entropy,
-            "ambient entropy is not replayable; derive randomness from the scenario seed",
-        );
-        scan_float_eq(&mut raw, path, &masked.masked, &lines);
+        scan_float_eq(&mut raw, file);
     }
 
     let mut findings = Vec::new();
     let mut waived = Vec::new();
     for mut f in raw {
-        match waiver_reason(&masked.waivers, f.rule, f.line) {
+        match masked.waiver(f.rule, f.line) {
             Some(reason) => {
                 f.waived = Some(reason);
                 waived.push(f);
@@ -127,7 +134,7 @@ pub fn scan_file(path: &str, source: &str, rules: RuleSet) -> FileScan {
     }
 
     let unwrap_count = if rules.unwrap_ratchet {
-        count_unwraps(&masked.masked, &masked.waivers)
+        count_unwraps(file)
     } else {
         0
     };
@@ -139,67 +146,83 @@ pub fn scan_file(path: &str, source: &str, rules: RuleSet) -> FileScan {
     }
 }
 
-/// A waiver covers its own line and the next, so it can trail the site or
-/// sit on the line above it.
-fn waiver_reason(waivers: &[Waiver], rule: Rule, line: usize) -> Option<String> {
-    waivers
-        .iter()
-        .find(|w| w.rule == Some(rule) && (w.line == line || w.line + 1 == line))
-        .map(|w| w.reason.clone())
+/// The source rules over every loaded file a [`RuleSet`] applies to.
+#[derive(Debug, Default)]
+pub struct SourceLint {
+    findings: Vec<Finding>,
+    waived: Vec<Finding>,
+    /// The unwrap ratchet rows: one per file with a nonzero count.
+    rows: Rows,
+    files_scanned: usize,
 }
 
-fn finding(rule: Rule, path: &str, line: usize, lines: &[&str], message: String) -> Finding {
-    Finding {
-        rule,
-        path: path.to_owned(),
-        line,
-        snippet: lines.get(line - 1).map_or("", |l| l.trim()).to_owned(),
-        message,
-        waived: None,
-        chain: Vec::new(),
-    }
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-fn scan_words(
-    out: &mut Vec<Finding>,
-    path: &str,
-    masked: &str,
-    lines: &[&str],
-    patterns: &[&str],
-    rule: Rule,
-    message: &str,
-) {
-    let bytes = masked.as_bytes();
-    for pat in patterns {
-        let mut from = 0;
-        while let Some(pos) = masked[from..].find(pat).map(|p| from + p) {
-            from = pos + pat.len();
-            let left_ok = pos == 0 || !is_ident_byte(bytes[pos - 1]);
-            let right_ok = bytes.get(from).is_none_or(|&b| !is_ident_byte(b));
-            if left_ok && right_ok {
-                let line = 1 + masked[..pos].matches('\n').count();
-                out.push(finding(
-                    rule,
-                    path,
-                    line,
-                    lines,
-                    format!("`{pat}`: {message}"),
-                ));
-            }
+/// Scans every file with a rule set, in load order.
+#[must_use]
+pub fn analyze(files: &[SourceFile]) -> SourceLint {
+    let mut lint = SourceLint::default();
+    for file in files {
+        let Some(rules) = file.rule_set() else {
+            continue;
+        };
+        let scan = scan(file, rules);
+        lint.files_scanned += 1;
+        lint.findings.extend(scan.findings);
+        lint.waived.extend(scan.waived);
+        if scan.unwrap_count > 0 {
+            let key = (
+                Analysis::Unwrap,
+                Rule::UnwrapRatchet.name().to_owned(),
+                file.rel.clone(),
+            );
+            lint.rows.insert(key, Value::Count(scan.unwrap_count));
         }
     }
-    // Findings from different patterns interleave; report in line order.
-    out.sort_by_key(|a| (a.line, a.rule));
+    lint
+}
+
+impl SourceLint {
+    /// The unwrap ratchet rows.
+    #[must_use]
+    pub fn rows(&self) -> Rows {
+        self.rows.clone()
+    }
+
+    /// The `source` section.
+    #[must_use]
+    pub fn section(self, cmp: &Comparison, recorded: &Rows) -> Section {
+        let total = |rows: &Rows| count_total(rows, Analysis::Unwrap);
+        let summary = format!(
+            "hcperf-lint source: {} files, {} findings, {} waived, unwrap ratchet {}/{}",
+            self.files_scanned,
+            self.findings.len(),
+            self.waived.len(),
+            total(&self.rows),
+            total(recorded),
+        );
+        let ratchet = Some(cmp.of(Analysis::Unwrap));
+        let mut section = Section::new("source", self.findings, self.waived, ratchet);
+        section.lines.push(summary);
+        section
+    }
+}
+
+/// Sum of the count rows of `analysis`.
+#[must_use]
+pub fn count_total(rows: &Rows, analysis: Analysis) -> usize {
+    rows.iter()
+        .filter(|(k, _)| k.0 == analysis)
+        .map(|(_, v)| match v {
+            Value::Count(n) => *n,
+            _ => 0,
+        })
+        .sum()
 }
 
 /// Flags `==`/`!=` where either operand is a float literal (or a known
 /// float accessor). Exact float comparison is only sound against a value
 /// stored verbatim, never a computed one — use the approx helpers instead.
-fn scan_float_eq(out: &mut Vec<Finding>, path: &str, masked: &str, lines: &[&str]) {
+fn scan_float_eq(out: &mut Vec<Finding>, file: &SourceFile) {
+    let masked = file.masked.masked.as_str();
     let bytes = masked.as_bytes();
     let mut i = 0;
     while i + 1 < bytes.len() {
@@ -224,12 +247,11 @@ fn scan_float_eq(out: &mut Vec<Finding>, path: &str, masked: &str, lines: &[&str
         let left = token_before(masked, i);
         let right = token_after(masked, i + 2);
         if is_float_operand(&left) || is_float_operand(&right) {
-            let line = 1 + masked[..i].matches('\n').count();
-            out.push(finding(
+            let line = file.masked.lines.line_of(i);
+            out.push(Finding::at(
                 Rule::FloatEq,
-                path,
+                file,
                 line,
-                lines,
                 format!(
                     "float `{}` comparison (`{left}` vs `{right}`); compare with an epsilon or justify the exact sentinel",
                     if is_eq { "==" } else { "!=" }
@@ -331,20 +353,16 @@ fn is_float_literal(token: &str) -> bool {
 
 /// Counts `.unwrap()` / `.expect(` in masked library code, skipping lines
 /// covered by an `allow(unwrap-ratchet)` waiver.
-fn count_unwraps(masked: &str, waivers: &[Waiver]) -> usize {
-    masked
-        .lines()
-        .enumerate()
-        .map(|(idx, line)| {
-            let lineno = idx + 1;
-            if waivers.iter().any(|w| {
-                w.rule == Some(Rule::UnwrapRatchet) && (w.line == lineno || w.line + 1 == lineno)
-            }) {
-                return 0;
-            }
-            line.matches(".unwrap()").count() + line.matches(".expect(").count()
-        })
-        .sum()
+fn count_unwraps(file: &SourceFile) -> usize {
+    let text = file.masked.masked.as_str();
+    let sites = text
+        .match_indices(".unwrap()")
+        .chain(text.match_indices(".expect("));
+    let waived = |at: usize| {
+        file.masked
+            .waiver(Rule::UnwrapRatchet, file.masked.lines.line_of(at))
+    };
+    sites.filter(|&(at, _)| waived(at).is_none()).count()
 }
 
 #[cfg(test)]

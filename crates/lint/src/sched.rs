@@ -1,36 +1,25 @@
-//! The `--schedulability` audit: a build-time gate over every registered
-//! task graph and scenario preset.
-//!
-//! Two static checks per target, both at the target's *reference operating
-//! point* — `t = 0` with the scenario's initial obstacle load (idle load
-//! for bare graphs). Every run starts there, so a target that fails is
-//! misconfigured no matter what the schedulers do:
+//! The schedulability audit: a build-time gate over every registered task
+//! graph and scenario preset, at its reference operating point (`t = 0`,
+//! the scenario's initial obstacle load). Every run starts there, so a
+//! target that fails is misconfigured whatever the schedulers do:
 //!
 //! * **Eq. 9** — every task's scheduling deadline must be positive:
-//!   `Dᵢ > cᵢᵐᵃˣ`, with `cᵢᵐᵃˣ` the execution model's worst case at the
-//!   reference context. A non-positive deadline makes `dᵢ = Dᵢ − cᵢ`
-//!   meaningless and the task unschedulable even alone on a core.
-//! * **Eq. 11** — a critical-instant queue (one job of every task released
-//!   simultaneously) must admit a non-empty feasible γ range on the
-//!   configured core count. Eq. 11's `cᵢ` is the *observed* execution
-//!   time, which the scheduler initializes to the model's nominal value
-//!   before any observation — so the audit uses `nominal` at the reference
-//!   context, reproducing exactly the constraint system the DPS solves on
-//!   its first dispatch. Feasibility is decided by the paper-literal
-//!   `dps::reference::gamma_max` oracle with `strict_eq11 = true`; the
-//!   relaxed production default drops doomed jobs and so can never report
-//!   overload.
+//!   `Dᵢ > cᵢᵐᵃˣ`, with `cᵢᵐᵃˣ` the execution model's worst case.
+//! * **Eq. 11** — a critical-instant queue (one job of every task) must
+//!   admit a non-empty feasible γ range on the configured cores. Eq. 11's
+//!   `cᵢ` is the observed execution time, which starts at the model's
+//!   nominal value, so the audit solves exactly the DPS's first-dispatch
+//!   system, with the paper-literal `dps::reference::gamma_max` oracle in
+//!   strict mode (the relaxed default drops doomed jobs and so can never
+//!   report overload).
+//! * **Kernels** — each target's Eq. 9 budget is only meaningful if the
+//!   kernels that spend it have bounded cost: [`kernel_gaps`] requires a
+//!   bounded certificate from the same run's WCET analysis for every
+//!   kernel in [`kernel_roots`] (`sched-wcet`).
 //!
 //! Transient overload *inside* a scenario (obstacle spikes, fusion regime
-//! steps) is the experiment itself — HCPerf's coordinators exist to ride
-//! it out — so the audit samples the whole horizon and reports the worst
-//! transient margin as information, not as a gate.
-//!
-//! A third check ties the audit to the WCET pass: each target's Eq. 9
-//! budget is only meaningful if the scheduler kernels that spend it have
-//! *bounded* certified cost, so [`wcet_cross_check`] requires every
-//! kernel in [`kernel_roots`] to carry a bounded row in
-//! `crates/lint/wcet_certificates.txt` (`sched-wcet` error otherwise).
+//! steps) is the experiment itself, so the worst sampled transient margin
+//! is reported as information, not as a gate.
 
 use hcperf::dps::reference;
 use hcperf::{DpsConfig, Scheme};
@@ -39,9 +28,10 @@ use hcperf_scenarios::{
     traffic_jam_config, CarFollowingConfig, LaneKeepingConfig, MotivationConfig,
 };
 use hcperf_taskgraph::graphs::{apollo_graph, motivation_graph, GraphOptions};
-use hcperf_taskgraph::{ExecContext, LoadProfile, SimSpan, SimTime, TaskGraph};
+use hcperf_taskgraph::{ExecContext, GraphError, LoadProfile, SimSpan, SimTime, TaskGraph};
 
-use crate::report::{exit, json_escape, json_opt_f64, tagged_finding_json};
+use crate::report::{exit, json_escape, json_opt_f64, tagged_finding_json, Section};
+use crate::wcet::{CertRow, Cost};
 
 /// One graph/preset to audit.
 #[derive(Debug)]
@@ -115,14 +105,19 @@ impl AuditResult {
     }
 }
 
-fn car_following_target(name: &str, config: &CarFollowingConfig) -> AuditTarget {
+fn target(
+    name: &str,
+    graph: Result<TaskGraph, GraphError>,
+    (processors, load, duration): (usize, &LoadProfile, f64),
+    dps: DpsConfig,
+) -> AuditTarget {
     AuditTarget {
-        name: format!("scenario::{name}"),
-        graph: config.graph().expect("apollo graph is statically valid"),
-        processors: config.processors,
-        load: config.load.clone(),
-        duration: config.duration,
-        dps: config.dps,
+        name: name.to_owned(),
+        graph: graph.expect("builtin graphs are statically valid"),
+        processors,
+        load: load.clone(),
+        duration,
+        dps,
     }
 }
 
@@ -130,64 +125,54 @@ fn car_following_target(name: &str, config: &CarFollowingConfig) -> AuditTarget 
 /// preset, exactly as the scenarios construct them.
 #[must_use]
 pub fn builtin_targets() -> Vec<AuditTarget> {
-    let mut targets = vec![
-        AuditTarget {
-            name: "graphs::motivation".to_owned(),
-            graph: motivation_graph(&GraphOptions::default()).expect("static graph"),
-            processors: GraphOptions::default().processors,
-            load: LoadProfile::constant(0.0),
-            duration: 0.0,
-            dps: DpsConfig::default(),
-        },
-        AuditTarget {
-            name: "graphs::apollo".to_owned(),
-            graph: apollo_graph(&GraphOptions::default()).expect("static graph"),
-            processors: GraphOptions::default().processors,
-            load: LoadProfile::constant(0.0),
-            duration: 0.0,
-            dps: DpsConfig::default(),
-        },
-    ];
-
-    targets.push(car_following_target(
-        "car_following/paper_simulation",
-        &CarFollowingConfig::paper_simulation(Scheme::HcPerf),
-    ));
-    targets.push(car_following_target(
-        "car_following/hardware",
-        &CarFollowingConfig::hardware(Scheme::HcPerf),
-    ));
-    targets.push(car_following_target(
-        "traffic_jam",
-        &traffic_jam_config(Scheme::HcPerf),
-    ));
-
+    let options = GraphOptions::default();
+    let idle = (options.processors, &LoadProfile::constant(0.0), 0.0);
+    let car = |name: &str, c: CarFollowingConfig| {
+        let timing = (c.processors, &c.load, c.duration);
+        target(&format!("scenario::{name}"), c.graph(), timing, c.dps)
+    };
     let lk = LaneKeepingConfig::paper_loop(Scheme::HcPerf);
-    targets.push(AuditTarget {
-        name: "scenario::lane_keeping/paper_loop".to_owned(),
-        graph: lk.graph().expect("apollo graph is statically valid"),
-        processors: lk.processors,
-        load: lk.load.clone(),
-        duration: lk.duration,
-        dps: lk.dps,
-    });
-
     let mv = MotivationConfig::default();
-    targets.push(AuditTarget {
-        name: "scenario::motivation".to_owned(),
-        graph: mv.graph().expect("static graph"),
-        processors: mv.processors,
-        load: mv.load.clone(),
-        duration: mv.duration,
-        dps: DpsConfig::default(),
-    });
-
-    targets
+    vec![
+        target(
+            "graphs::motivation",
+            motivation_graph(&options),
+            idle,
+            DpsConfig::default(),
+        ),
+        target(
+            "graphs::apollo",
+            apollo_graph(&options),
+            idle,
+            DpsConfig::default(),
+        ),
+        car(
+            "car_following/paper_simulation",
+            CarFollowingConfig::paper_simulation(Scheme::HcPerf),
+        ),
+        car(
+            "car_following/hardware",
+            CarFollowingConfig::hardware(Scheme::HcPerf),
+        ),
+        car("traffic_jam", traffic_jam_config(Scheme::HcPerf)),
+        target(
+            "scenario::lane_keeping/paper_loop",
+            lk.graph(),
+            (lk.processors, &lk.load, lk.duration),
+            lk.dps,
+        ),
+        target(
+            "scenario::motivation",
+            mv.graph(),
+            (mv.processors, &mv.load, mv.duration),
+            DpsConfig::default(),
+        ),
+    ]
 }
 
 /// Tightest Eq. 9 task of `graph` at context `ctx`.
 fn eq9_worst(graph: &TaskGraph, ctx: ExecContext) -> Eq9Worst {
-    let mut worst: Option<Eq9Worst> = None;
+    let mut worst: Option<(&str, f64, f64)> = None;
     for (_, spec) in graph.iter() {
         let mut cmax = spec.exec_model().worst_case(ctx);
         if let Some(gpu) = spec.gpu_model() {
@@ -195,19 +180,17 @@ fn eq9_worst(graph: &TaskGraph, ctx: ExecContext) -> Eq9Worst {
             // deadline window even though it frees the CPU.
             cmax += gpu.worst_case(ctx);
         }
-        let row = Eq9Worst {
-            task: spec.name().to_owned(),
-            deadline_ms: spec.relative_deadline().as_millis(),
-            cmax_ms: cmax.as_millis(),
-        };
-        if worst
-            .as_ref()
-            .is_none_or(|w| row.margin_ms() < w.margin_ms())
-        {
-            worst = Some(row);
+        let (deadline_ms, cmax_ms) = (spec.relative_deadline().as_millis(), cmax.as_millis());
+        if worst.is_none_or(|(_, d, c)| deadline_ms - cmax_ms < d - c) {
+            worst = Some((spec.name(), deadline_ms, cmax_ms));
         }
     }
-    worst.expect("graphs are non-empty by construction")
+    let (task, deadline_ms, cmax_ms) = worst.expect("graphs are non-empty by construction");
+    Eq9Worst {
+        task: task.to_owned(),
+        deadline_ms,
+        cmax_ms,
+    }
 }
 
 /// Strict Eq. 11 γ_max for a critical-instant queue of `graph` at `ctx`.
@@ -318,26 +301,18 @@ pub struct KernelGap {
     pub target: String,
     /// Kernel root name from [`kernel_roots`].
     pub kernel: String,
-    /// The certified cost; `None` when the kernel has no certificate row.
-    pub cost: Option<crate::wcet::Cost>,
+    /// The certified cost; `None` when the kernel has no certificate.
+    pub cost: Option<Cost>,
 }
 
-/// Pure coverage check of audit targets against parsed certificates
-/// (keyed `(root, path)` as [`crate::wcet::parse_certs`] returns them).
+/// Coverage check of audit targets against the run's WCET certificates.
 #[must_use]
-pub fn kernel_gaps(
-    results: &[AuditResult],
-    certs: &std::collections::BTreeMap<(String, String), crate::wcet::Cost>,
-) -> Vec<KernelGap> {
-    let by_name: std::collections::BTreeMap<&str, crate::wcet::Cost> = certs
-        .iter()
-        .map(|((name, _), &cost)| (name.as_str(), cost))
-        .collect();
+pub fn kernel_gaps(results: &[AuditResult], certs: &[CertRow]) -> Vec<KernelGap> {
     let mut gaps = Vec::new();
     for r in results {
         for kernel in kernel_roots(&r.name) {
-            let cost = by_name.get(kernel).copied();
-            if cost.is_none() || cost == Some(crate::wcet::Cost::Unbounded) {
+            let cost = certs.iter().find(|c| c.name == kernel).map(|c| c.cost);
+            if cost.is_none_or(|c| c == Cost::Unbounded) {
                 gaps.push(KernelGap {
                     target: r.name.clone(),
                     kernel: kernel.to_owned(),
@@ -349,47 +324,12 @@ pub fn kernel_gaps(
     gaps
 }
 
-/// Reads `crates/lint/wcet_certificates.txt` under `root` and checks that
-/// every audit target's kernels carry bounded certificates.
-///
-/// # Errors
-///
-/// A missing or malformed certificate file is an error — the audit must
-/// not silently pass without the WCET artifact it leans on.
-pub fn wcet_cross_check(
-    results: &[AuditResult],
-    root: &std::path::Path,
-) -> std::io::Result<Vec<KernelGap>> {
-    let path = root.join(crate::wcet::CERT_PATH);
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        std::io::Error::new(
-            e.kind(),
-            format!(
-                "cannot read WCET certificates {}: {e}; bootstrap with --update-baselines",
-                path.display()
-            ),
-        )
-    })?;
-    let certs = crate::wcet::parse_certs(&text)
-        .map_err(|m| std::io::Error::new(std::io::ErrorKind::InvalidData, m))?;
-    Ok(kernel_gaps(results, &certs))
-}
-
-/// `sched-wcet` error findings for coverage gaps, in the shared schema.
-#[must_use]
-pub fn gap_findings_json(gaps: &[KernelGap]) -> Vec<String> {
-    gaps.iter()
-        .map(|g| tagged_finding_json("sched-wcet", "error", &g.target, &gap_message(g)))
-        .collect()
-}
-
 fn gap_message(g: &KernelGap) -> String {
     match g.cost {
         None => format!(
-            "Eq. 9 budget relies on kernel `{}` which has no WCET certificate in {}; \
-             regenerate with --update-baselines",
+            "Eq. 9 budget relies on kernel `{}` which has no WCET certificate; mark it \
+             `hcperf-lint: hot-path-root`",
             g.kernel,
-            crate::wcet::CERT_PATH
         ),
         Some(c) => format!(
             "Eq. 9 budget relies on kernel `{}` whose certified cost is {}; \
@@ -398,20 +338,6 @@ fn gap_message(g: &KernelGap) -> String {
             c.render()
         ),
     }
-}
-
-/// Human rendering of kernel coverage gaps.
-#[must_use]
-pub fn render_gaps_human(gaps: &[KernelGap]) -> String {
-    let mut out = String::new();
-    for g in gaps {
-        out.push_str(&format!(
-            "FAIL {} — [sched-wcet] {}\n",
-            g.target,
-            gap_message(g)
-        ));
-    }
-    out
 }
 
 /// Exit code for a set of audit results.
@@ -424,14 +350,13 @@ pub fn exit_code(results: &[AuditResult]) -> i32 {
     }
 }
 
-/// Human rendering of the audit.
-#[must_use]
-pub fn render_human(results: &[AuditResult]) -> String {
-    let mut out = String::new();
+/// Human rows of the audit, one per target plus transient notes.
+fn human_rows(results: &[AuditResult]) -> Vec<String> {
+    let mut out = Vec::new();
     for r in results {
         let verdict = if r.ok() { "ok" } else { "FAIL" };
-        out.push_str(&format!(
-            "{verdict:4} {} — {} tasks on {} cores: Eq.9 min margin {:.2} ms ({}), γ_max {}\n",
+        out.push(format!(
+            "{verdict:4} {} — {} tasks on {} cores: Eq.9 min margin {:.2} ms ({}), γ_max {}",
             r.name,
             r.tasks,
             r.processors,
@@ -441,23 +366,12 @@ pub fn render_human(results: &[AuditResult]) -> String {
                 .map_or_else(|| "∅ (overloaded)".to_owned(), |g| format!("{g:.4}")),
         ));
         if r.transient_overload() {
-            out.push_str(&format!(
-                "     note: designed transient overload — Eq.9 margin dips to {:.2} ms at t = {:.1} s\n",
+            out.push(format!(
+                "     note: designed transient overload — Eq.9 margin dips to {:.2} ms at t = {:.1} s",
                 r.transient_min_margin_ms, r.transient_at_s
             ));
         }
     }
-    let failed = results.iter().filter(|r| !r.ok()).count();
-    out.push_str(&format!(
-        "hcperf-lint --schedulability: {}/{} targets feasible{}\n",
-        results.len() - failed,
-        results.len(),
-        if failed == 0 {
-            " — clean"
-        } else {
-            " — FAILED"
-        }
-    ));
     out
 }
 
@@ -470,48 +384,49 @@ pub fn render_human(results: &[AuditResult]) -> String {
 pub fn findings_json(results: &[AuditResult]) -> Vec<String> {
     let mut out = Vec::new();
     for r in results {
-        if r.eq9_worst.margin_ms() <= 0.0 {
-            out.push(tagged_finding_json(
+        let (worst, at) = (r.transient_min_margin_ms, r.transient_at_s);
+        let checks = [
+            (
+                r.eq9_worst.margin_ms() <= 0.0,
                 "sched-eq9",
                 "error",
-                &r.name,
-                &format!(
+                format!(
                     "Eq. 9 margin is {:.2} ms for task `{}` at the reference operating point; \
                      deadlines must exceed worst-case execution",
                     r.eq9_worst.margin_ms(),
                     r.eq9_worst.task
                 ),
-            ));
-        }
-        if r.gamma_max.is_none() {
-            out.push(tagged_finding_json(
+            ),
+            (
+                r.gamma_max.is_none(),
                 "sched-eq11",
                 "error",
-                &r.name,
-                &format!(
+                format!(
                     "Eq. 11 admits no feasible γ on {} cores at the reference operating point",
                     r.processors
                 ),
-            ));
-        }
-        if r.transient_overload() {
-            out.push(tagged_finding_json(
+            ),
+            (
+                r.transient_overload(),
                 "sched-eq9-transient",
                 "info",
-                &r.name,
-                &format!(
-                    "designed transient overload: Eq. 9 margin dips to {:.2} ms at t = {:.1} s",
-                    r.transient_min_margin_ms, r.transient_at_s
-                ),
-            ));
-        }
+                format!("designed transient overload: Eq. 9 margin dips to {worst:.2} ms at t = {at:.1} s"),
+            ),
+        ];
+        let fired = checks.iter().filter(|c| c.0);
+        out.extend(
+            fired.map(|(_, rule, severity, msg)| tagged_finding_json(rule, severity, &r.name, msg)),
+        );
     }
     out
 }
 
-/// JSON rendering of the audit, including kernel coverage gaps.
+/// The `schedulability` section: every builtin target audited, with
+/// its kernels checked against the run's WCET certificates.
 #[must_use]
-pub fn render_json(results: &[AuditResult], gaps: &[KernelGap]) -> String {
+pub fn section(certs: &[CertRow]) -> Section {
+    let results = audit_all();
+    let gaps = kernel_gaps(&results, certs);
     let rows: Vec<String> = results
         .iter()
         .map(|r| {
@@ -529,19 +444,35 @@ pub fn render_json(results: &[AuditResult], gaps: &[KernelGap]) -> String {
             )
         })
         .collect();
-    let mut findings = findings_json(results);
-    findings.extend(gap_findings_json(gaps));
-    let exit_code = if gaps.is_empty() {
-        exit_code(results)
+    let mut section = Section::new("schedulability", Vec::new(), Vec::new(), None);
+    section.tagged = findings_json(&results);
+    section.lines = human_rows(&results);
+    for g in &gaps {
+        let message = gap_message(g);
+        section.tagged.push(tagged_finding_json(
+            "sched-wcet",
+            "error",
+            &g.target,
+            &message,
+        ));
+        section
+            .lines
+            .push(format!("FAIL {} — [sched-wcet] {message}", g.target));
+    }
+    let failed = results.iter().filter(|r| !r.ok()).count();
+    section.lines.push(format!(
+        "hcperf-lint schedulability: {}/{} targets feasible, {} kernel gaps",
+        results.len() - failed,
+        results.len(),
+        gaps.len(),
+    ));
+    section.json = vec![format!("\"targets\":[{}]", rows.join(","))];
+    section.exit_code = if gaps.is_empty() {
+        exit_code(&results)
     } else {
         exit::SCHEDULABILITY
     };
-    format!(
-        "{{\"schema_version\":{},\"mode\":\"schedulability\",\"targets\":[{}],\"findings\":[{}],\"exit_code\":{exit_code}}}",
-        crate::report::SCHEMA_VERSION,
-        rows.join(","),
-        findings.join(","),
-    )
+    section
 }
 
 #[cfg(test)]
@@ -616,41 +547,50 @@ mod tests {
 
     #[test]
     fn kernel_gaps_flag_missing_and_unbounded_certificates() {
-        use crate::wcet::Cost;
         let results = audit_all();
         // A full bounded certificate set covers everything.
-        let mut certs = std::collections::BTreeMap::new();
-        for name in [
+        let cert = |name: &str, cost: Cost| CertRow {
+            name: name.to_owned(),
+            path: "x.rs".to_owned(),
+            cost,
+            witness: None,
+        };
+        let mut certs: Vec<CertRow> = [
             "gamma_max",
             "Sim::try_dispatch",
             "GammaScratch::rank",
             "GammaScratch::feasible",
             "DynamicPriorityScheduler::gamma_max_cached",
             "PerformanceDirectedController::step",
-        ] {
-            certs.insert((name.to_owned(), "x.rs".to_owned()), Cost::N_LOG_N);
-        }
+        ]
+        .into_iter()
+        .map(|name| cert(name, Cost::N_LOG_N))
+        .collect();
         assert!(kernel_gaps(&results, &certs).is_empty());
+        assert_eq!(section(&certs).exit_code, exit::CLEAN);
 
         // Removing the DPS kernel breaks every scenario::* target but not
         // the bare graphs (they only use the reference oracle + dispatch).
-        certs.remove(&("GammaScratch::rank".to_owned(), "x.rs".to_owned()));
+        certs.retain(|c| c.name != "GammaScratch::rank");
         let gaps = kernel_gaps(&results, &certs);
         assert_eq!(gaps.len(), 5, "{gaps:?}");
         assert!(gaps.iter().all(|g| g.kernel == "GammaScratch::rank"));
         assert!(gaps.iter().all(|g| g.target.starts_with("scenario::")));
 
         // An unbounded certificate is as bad as a missing one.
-        certs.insert(
-            ("GammaScratch::rank".to_owned(), "x.rs".to_owned()),
-            Cost::Unbounded,
-        );
+        certs.push(cert("GammaScratch::rank", Cost::Unbounded));
         let gaps = kernel_gaps(&results, &certs);
         assert_eq!(gaps.len(), 5);
         assert_eq!(gaps[0].cost, Some(Cost::Unbounded));
-        let findings = gap_findings_json(&gaps);
-        assert!(findings[0].contains("\"rule\":\"sched-wcet\""));
-        assert!(findings[0].contains("\"severity\":\"error\""));
+        let s = section(&certs);
+        assert_eq!(s.exit_code, exit::SCHEDULABILITY);
+        let gap_json: Vec<&String> = s
+            .tagged
+            .iter()
+            .filter(|f| f.contains("sched-wcet"))
+            .collect();
+        assert_eq!(gap_json.len(), 5);
+        assert!(gap_json[0].contains("\"severity\":\"error\""));
     }
 
     #[test]

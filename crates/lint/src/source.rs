@@ -26,12 +26,36 @@ pub struct Waiver {
     pub reason: String,
 }
 
+/// Fast byte-offset → 1-based line lookup.
+#[derive(Debug)]
+pub struct LineIndex {
+    newline_offsets: Vec<usize>,
+}
+
+impl LineIndex {
+    /// Builds the index for `text`.
+    #[must_use]
+    pub fn new(text: &str) -> Self {
+        Self {
+            newline_offsets: text.match_indices('\n').map(|(i, _)| i).collect(),
+        }
+    }
+
+    /// 1-based line containing byte offset `at`.
+    #[must_use]
+    pub fn line_of(&self, at: usize) -> usize {
+        1 + self.newline_offsets.partition_point(|&o| o < at)
+    }
+}
+
 /// Result of masking one source file.
 #[derive(Debug)]
 pub struct MaskedFile {
     /// Same byte length as the input; comments, string/char literals and
     /// `#[cfg(test)] mod … { … }` regions are spaces (newlines kept).
     pub masked: String,
+    /// Line lookup (masking keeps every newline in place).
+    pub lines: LineIndex,
     /// Every waiver comment found, malformed ones included.
     pub waivers: Vec<Waiver>,
     /// 1-based lines carrying a `// hcperf-lint: hot-path-root` marker;
@@ -50,6 +74,71 @@ pub struct MaskedFile {
     /// `(line, name)` pairs for `// hcperf-lint: det-sanitizer(<name>)`
     /// markers; each declares the next `fn` item a trusted taint sanitizer.
     pub det_sanitizers: Vec<(usize, String)>,
+}
+
+impl MaskedFile {
+    /// The reason of a well-formed waiver for `rule` covering `line`: on
+    /// that line or the one above it.
+    #[must_use]
+    pub fn waiver(&self, rule: Rule, line: usize) -> Option<String> {
+        self.waivers
+            .iter()
+            .find(|w| w.rule == Some(rule) && (w.line == line || w.line + 1 == line))
+            .map(|w| w.reason.clone())
+    }
+}
+
+/// True for bytes that can continue an identifier.
+pub(crate) fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// A fixed pattern set, found in one pass over a byte range. A hit
+/// respects identifier boundaries at whichever pattern ends are
+/// identifier bytes, so `Instant` does not match inside `InstantLike`.
+#[derive(Debug)]
+pub(crate) struct Words {
+    patterns: Vec<&'static str>,
+    /// Pattern indices by first byte.
+    by_first: Vec<Vec<usize>>,
+}
+
+impl Words {
+    pub(crate) fn new(patterns: impl IntoIterator<Item = &'static str>) -> Words {
+        let patterns: Vec<&'static str> = patterns.into_iter().collect();
+        let mut by_first = vec![Vec::new(); 256];
+        for (k, p) in patterns.iter().enumerate() {
+            by_first[usize::from(p.as_bytes()[0])].push(k);
+        }
+        Words { patterns, by_first }
+    }
+
+    /// `(pattern index, byte offset)` of every hit inside `range` of
+    /// `masked`, ordered by pattern, then offset.
+    pub(crate) fn find(&self, masked: &str, range: (usize, usize)) -> Vec<(usize, usize)> {
+        let bytes = masked.as_bytes();
+        let ident_at = |i: usize| bytes.get(i).is_some_and(|&b| is_ident_byte(b));
+        let mut hits = Vec::new();
+        for at in range.0..range.1 {
+            for &k in &self.by_first[usize::from(bytes[at])] {
+                let pat = self.patterns[k].as_bytes();
+                let end = at + pat.len();
+                let fits = end <= range.1 && &bytes[at..end] == pat;
+                let left_ok = !is_ident_byte(pat[0]) || at == 0 || !ident_at(at - 1);
+                let right_ok = !is_ident_byte(pat[pat.len() - 1]) || !ident_at(end);
+                if fits && left_ok && right_ok {
+                    hits.push((k, at));
+                }
+            }
+        }
+        hits.sort_unstable();
+        hits
+    }
+
+    /// The pattern at index `k`.
+    pub(crate) fn pattern(&self, k: usize) -> &'static str {
+        self.patterns[k]
+    }
 }
 
 const MARKER: &str = "hcperf-lint:";
@@ -72,6 +161,7 @@ enum Directive {
 #[must_use]
 pub fn mask(source: &str) -> MaskedFile {
     let bytes = source.as_bytes();
+    let lines = LineIndex::new(source);
     let mut out = bytes.to_vec();
     let mut waivers = Vec::new();
     let mut hot_path_roots = Vec::new();
@@ -87,16 +177,14 @@ pub fn mask(source: &str) -> MaskedFile {
                 // Doc comments (`///`, `//!`) are prose, not directives:
                 // they may legitimately *mention* the waiver syntax.
                 let doc = matches!(bytes.get(i + 2), Some(&b'/') | Some(&b'!'));
-                if !doc {
-                    match parse_directive(&source[i..end], line_of(bytes, i)) {
+                // Only a marker comment needs its line number.
+                if !doc && source[i..end].contains(MARKER) {
+                    let line = lines.line_of(i);
+                    match parse_directive(&source[i..end], line) {
                         Some(Directive::Waiver(w)) => waivers.push(w),
-                        Some(Directive::HotPathRoot) => hot_path_roots.push(line_of(bytes, i)),
-                        Some(Directive::DetSink(name)) => {
-                            det_sinks.push((line_of(bytes, i), name));
-                        }
-                        Some(Directive::DetSanitizer(name)) => {
-                            det_sanitizers.push((line_of(bytes, i), name));
-                        }
+                        Some(Directive::HotPathRoot) => hot_path_roots.push(line),
+                        Some(Directive::DetSink(name)) => det_sinks.push((line, name)),
+                        Some(Directive::DetSanitizer(name)) => det_sanitizers.push((line, name)),
                         None => {}
                     }
                 }
@@ -144,6 +232,7 @@ pub fn mask(source: &str) -> MaskedFile {
     let test_regions = mask_test_modules(&mut out);
     MaskedFile {
         masked: String::from_utf8(out).expect("masking only writes ASCII spaces"),
+        lines,
         waivers,
         hot_path_roots,
         comment_spans,
@@ -151,11 +240,6 @@ pub fn mask(source: &str) -> MaskedFile {
         det_sinks,
         det_sanitizers,
     }
-}
-
-/// 1-based line number of byte offset `at`.
-fn line_of(bytes: &[u8], at: usize) -> usize {
-    1 + bytes[..at].iter().filter(|&&b| b == b'\n').count()
 }
 
 fn line_end(bytes: &[u8], from: usize) -> usize {
@@ -356,7 +440,7 @@ fn parse_test_cfg_attr(bytes: &[u8], pos: usize) -> Option<usize> {
     while bytes.get(i).is_some_and(u8::is_ascii_whitespace) {
         i += 1;
     }
-    if bytes.get(i) != Some(&b'[') {
+    if bytes.get(i) != Some(&b'[') || !bytes[i + 1..].trim_ascii_start().starts_with(b"cfg") {
         return None;
     }
     let end = attribute_end(bytes, pos)?;

@@ -1,54 +1,25 @@
-//! Static WCET / loop-bound certificates for hot paths (`--wcet`).
+//! Static WCET / loop-bound certificates for hot paths.
 //!
-//! HCPerf's Eq. 9 budgets (`dᵢ = Dᵢ − cᵢ`) are only trustworthy if the
-//! scheduler's own kernels have analyzable cost: a quadratic loop or a
-//! hidden blocking call re-enters the 100 ms coordination period without
-//! any test noticing until latency plots drift. This pass makes compute
-//! cost a *checked artifact*:
-//!
-//! 1. **Loop lattice** — every loop in a hot-path-reachable function is
-//!    classified lexically ([`crate::parse::LoopClass`]): *constant*
-//!    (`for _ in 0..4`), *input-bounded* (`for i in 0..n`, counter
-//!    `while`s, draining `while let … = q.pop()`), or *unknown*. Unknown
-//!    loops are [`Rule::WcetUnbounded`] findings unless waived — a waiver
-//!    asserts a bound the lexer cannot see and demotes the loop to
-//!    input-bounded.
-//! 2. **Interprocedural propagation** — costs live in a single-variable
-//!    abstraction `O(n^d log^l n) | unbounded` ([`Cost`]). Sequential
-//!    composition takes the max; loop nesting and call-at-depth multiply
-//!    (degree saturates at [`MAX_DEGREE`] → unbounded, so the fixpoint
-//!    over the over-approximate, possibly cyclic call graph terminates).
-//!    Known-cost std calls (`sort*` → n log n, `binary_search*` → log n,
-//!    iterator consumers → n) are charged from a table; unknown external
-//!    calls are charged O(1).
-//! 3. **Certificates** — each hot-path root gets a symbolic cost row in
-//!    `crates/lint/wcet_certificates.txt`, ratcheted: a PR cannot raise a
-//!    root's polynomial degree, add a log factor, or introduce an
-//!    unbounded loop without regenerating the file via
-//!    `--update-baselines` (which makes the cost change reviewable).
-//! 4. **Blocking surface** — file/socket I/O, `Mutex`/`RwLock`, channel
-//!    `recv`, `thread::sleep` and console printing are forbidden in
-//!    reachable code outright ([`Rule::HotPathBlocking`], waivable).
-//!
-//! Known over- and under-approximations are listed in ARCHITECTURE.md;
-//! the headline ones: all input bounds collapse onto one symbol `n`
-//! (a loop over tasks inside a loop over processors reads as n², not
-//! n·m); constant loops multiply cost by 1; macro bodies are invisible
-//! (the alloc rule keeps them off hot paths separately); unknown external
-//! calls are assumed O(1).
+//! Every loop in a hot-path-reachable fn is classified lexically
+//! ([`crate::parse::LoopClass`]): constant, input-bounded, or unknown. An
+//! unknown loop is a [`Rule::WcetUnbounded`] finding unless a waiver
+//! asserts its bound, which demotes it to input-bounded. Costs live in
+//! the single-variable abstraction `O(n^d log^l n) | unbounded`
+//! ([`Cost`]): sequence takes the max, loop nesting and calls inside loops
+//! multiply, and the degree saturates at [`MAX_DEGREE`] so the fixpoint
+//! over the cyclic call graph terminates. Std calls with a contractual
+//! cost are charged by [`external_cost`]; other external calls are O(1).
+//! Each root's cost is a `wcet` row of [`crate::ratchet::RATCHET_PATH`].
+//! Blocking constructs in reachable code are [`Rule::HotPathBlocking`]
+//! findings. `docs/ARCHITECTURE.md` lists the approximations.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 
-use crate::callgraph::CallGraph;
-use crate::hotpath::{pattern_offsets, waiver_covers};
-use crate::parse::{parse_file, LoopClass, ParsedFile};
-use crate::report::{exit, Finding, Rule};
-use crate::workspace::{load_sources, SourceFile, DETERMINISTIC_CRATES};
-
-/// Workspace-relative path of the certificate ratchet file.
-pub const CERT_PATH: &str = "crates/lint/wcet_certificates.txt";
+use crate::parse::LoopClass;
+use crate::ratchet::{Analysis, Comparison, Rows, Value, RATCHET_PATH};
+use crate::report::{json_escape, sort_findings, Finding, Hop, Rule, Section};
+use crate::source::Words;
+use crate::workspace::{Scope, SourceFile};
 
 /// Polynomial degree past which a cost saturates to [`Cost::Unbounded`].
 /// Real kernels here are ≤ O(n² log n); degree 7 only arises from cycles
@@ -139,38 +110,15 @@ impl Cost {
         }
     }
 
-    /// Parses the notation [`Cost::render`] produces.
+    /// Parses the notation [`Cost::render`] produces: the inverse of
+    /// `render` over the finite lattice.
     #[must_use]
     pub fn parse(s: &str) -> Option<Cost> {
-        let s = s.trim();
-        if s == "unbounded" {
-            return Some(Cost::Unbounded);
-        }
-        let inner = s.strip_prefix("O(")?.strip_suffix(')')?.trim();
-        if inner == "1" {
-            return Some(Cost::ONE);
-        }
-        let mut degree = 0u8;
-        let mut logs = 0u8;
-        let mut toks = inner.split_whitespace().peekable();
-        while let Some(t) = toks.next() {
-            if t == "n" {
-                degree = 1;
-            } else if let Some(d) = t.strip_prefix("n^") {
-                degree = d.parse().ok()?;
-            } else if t == "log" || t.starts_with("log^") {
-                logs = t.strip_prefix("log^").map_or(Some(1), |l| l.parse().ok())?;
-                // consume the trailing `n` of `log… n`
-                if toks.peek() == Some(&"n") {
-                    toks.next();
-                } else {
-                    return None;
-                }
-            } else {
-                return None;
-            }
-        }
-        Some(Cost::Bounded { degree, logs })
+        let bounded = (0..=MAX_DEGREE)
+            .flat_map(|degree| (0..=MAX_LOGS).map(move |logs| Cost::Bounded { degree, logs }));
+        bounded
+            .chain([Cost::Unbounded])
+            .find(|c| c.render() == s.trim())
     }
 }
 
@@ -246,17 +194,6 @@ const BLOCKING_PATTERNS: [&str; 18] = [
     "read_to_string",
 ];
 
-/// The concrete source construct a cost bound traces back to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Witness {
-    /// Workspace-relative path.
-    pub path: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Human description (`\`for\` loop over self.key.len()`, `\`sort_unstable_by\` call`).
-    pub what: String,
-}
-
 /// One hot-path root's certificate.
 #[derive(Debug, Clone)]
 pub struct CertRow {
@@ -266,38 +203,8 @@ pub struct CertRow {
     pub path: String,
     /// Propagated symbolic cost.
     pub cost: Cost,
-    /// Dominant construct the cost traces to (`None` for O(1) roots).
-    pub witness: Option<Witness>,
-}
-
-/// One certificate row's comparison against the checked-in file.
-#[derive(Debug, Clone)]
-pub struct CertDelta {
-    /// Qualified root name.
-    pub name: String,
-    /// Root's defining file.
-    pub path: String,
-    /// Certified cost (`None` = root is new).
-    pub baseline: Option<Cost>,
-    /// Measured cost (`None` = root removed).
-    pub current: Option<Cost>,
-}
-
-/// Outcome of the certificate ratchet comparison.
-#[derive(Debug, Default)]
-pub struct CertRatchet {
-    /// Roots whose cost grew or that are new (fails the run).
-    pub growth: Vec<CertDelta>,
-    /// Roots whose cost shrank or that disappeared (refresh the file).
-    pub shrink: Vec<CertDelta>,
-}
-
-impl CertRatchet {
-    /// True when no root's cost grew.
-    #[must_use]
-    pub fn ok(&self) -> bool {
-        self.growth.is_empty()
-    }
+    /// The dominant construct the cost traces to (`None` for O(1) roots).
+    pub witness: Option<Hop>,
 }
 
 /// Loop-classification tallies over the reachable set.
@@ -315,198 +222,59 @@ pub struct LoopStats {
 
 /// Result of the WCET analysis.
 #[derive(Debug)]
-pub struct WcetReport {
+pub struct Wcet {
     /// Per-root certificates, sorted by (name, path).
     pub certs: Vec<CertRow>,
-    /// Unwaived findings: `wcet-unbounded`, `hot-path-blocking`, and
-    /// `wcet-cert` growth findings when ratcheting.
+    /// Unwaived `wcet-unbounded` and `hot-path-blocking` findings.
     pub findings: Vec<Finding>,
     /// Waived sites with their reasons.
     pub waived: Vec<Finding>,
-    /// Certificate comparison; `None` when regenerating.
-    pub ratchet: Option<CertRatchet>,
     /// Loop tallies over the reachable set.
     pub loop_stats: LoopStats,
     /// Reachable function count.
     pub reachable_fns: usize,
-    /// `.rs` files parsed.
-    pub files_scanned: usize,
 }
 
-impl WcetReport {
-    /// Exit code: structural findings (unbounded loops, blocking calls)
-    /// are `FINDINGS`; certificate growth alone is `RATCHET`.
-    #[must_use]
-    pub fn exit_code(&self) -> i32 {
-        if self.findings.iter().any(|f| f.rule != Rule::WcetCert) {
-            exit::FINDINGS
-        } else if self.ratchet.as_ref().is_some_and(|r| !r.ok()) {
-            exit::RATCHET
-        } else {
-            exit::CLEAN
-        }
-    }
-}
-
-/// Parses the `root<TAB>cost<TAB>path` certificate format.
-///
-/// # Errors
-///
-/// Returns a message describing the first malformed row.
-pub fn parse_certs(text: &str) -> Result<BTreeMap<(String, String), Cost>, String> {
-    let mut map = BTreeMap::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.splitn(3, '\t');
-        let (Some(name), Some(cost), Some(path)) = (parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!(
-                "wcet certificates line {}: expected `root<TAB>cost<TAB>path`",
-                idx + 1
-            ));
-        };
-        let cost = Cost::parse(cost)
-            .ok_or_else(|| format!("wcet certificates line {}: bad cost `{cost}`", idx + 1))?;
-        map.insert((name.trim().to_owned(), path.trim().to_owned()), cost);
-    }
-    Ok(map)
-}
-
-/// Renders the certificate file from measured rows.
+/// Classifies every reachable loop, propagates costs to the roots, and
+/// scans the reachable set for blocking constructs.
 #[must_use]
-pub fn render_certs(rows: &[CertRow]) -> String {
-    let mut out = String::from(
-        "# hcperf-lint WCET certificates: symbolic cost bound per hot-path\n\
-         # root, propagated over the call graph from the loop lattice. Rows\n\
-         # are `root<TAB>cost<TAB>path` in the single-variable abstraction\n\
-         # O(n^d log^l n); the ratchet rejects any cost increase. Regenerate\n\
-         # deliberately with `cargo run -p hcperf-lint -- --update-baselines`.\n",
-    );
-    for r in rows {
-        out.push_str(&format!("{}\t{}\t{}\n", r.name, r.cost.render(), r.path));
-    }
-    out
-}
-
-/// Compares measured certificates against the checked-in file.
-#[must_use]
-pub fn compare(rows: &[CertRow], baseline: &BTreeMap<(String, String), Cost>) -> CertRatchet {
-    let mut ratchet = CertRatchet::default();
-    let mut seen = BTreeMap::new();
-    for r in rows {
-        let key = (r.name.clone(), r.path.clone());
-        seen.insert(key.clone(), ());
-        let base = baseline.get(&key).copied();
-        let delta = CertDelta {
-            name: r.name.clone(),
-            path: r.path.clone(),
-            baseline: base,
-            current: Some(r.cost),
-        };
-        match base {
-            None => ratchet.growth.push(delta),
-            Some(b) if r.cost > b => ratchet.growth.push(delta),
-            Some(b) if r.cost < b => ratchet.shrink.push(delta),
-            _ => {}
-        }
-    }
-    for (key, &base) in baseline {
-        if !seen.contains_key(key) {
-            ratchet.shrink.push(CertDelta {
-                name: key.0.clone(),
-                path: key.1.clone(),
-                baseline: Some(base),
-                current: None,
-            });
-        }
-    }
-    ratchet
-}
-
-/// Effective loop class after waiver resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Eff {
-    Constant,
-    Input,
-    Unbounded,
-}
-
-impl Eff {
-    /// The multiplicative cost of one iteration *count* of this loop.
-    fn factor(self) -> Cost {
-        match self {
-            Eff::Constant => Cost::ONE,
-            Eff::Input => Cost::LINEAR,
-            Eff::Unbounded => Cost::Unbounded,
-        }
-    }
-}
-
-/// Analysis output before any baseline comparison.
-#[derive(Debug)]
-pub(crate) struct WcetAnalysis {
-    pub certs: Vec<CertRow>,
-    pub findings: Vec<Finding>,
-    pub waived: Vec<Finding>,
-    pub loop_stats: LoopStats,
-    pub reachable_fns: usize,
-}
-
-fn snippet_of(src: &SourceFile, line: usize) -> String {
-    src.raw
-        .lines()
-        .nth(line - 1)
-        .map_or("", str::trim)
-        .to_owned()
-}
-
-/// Core analysis over already-loaded sources (separated from [`run_wcet`]
-/// so tests can drive it with synthetic files).
-pub(crate) fn analyze(sources: &[SourceFile]) -> WcetAnalysis {
-    let parsed: Vec<ParsedFile> = crate::par::map(sources, |s| {
-        parse_file(&s.rel, &s.masked.masked, &s.masked.hot_path_roots)
-    });
-    let graph = CallGraph::build(&parsed);
+pub fn analyze(scope: &Scope<'_>) -> Wcet {
+    let graph = &scope.graph;
     let reachable = graph.reachable_from_roots();
-    let by_rel: BTreeMap<&str, &SourceFile> = sources.iter().map(|s| (s.rel.as_str(), s)).collect();
 
     let mut findings = Vec::new();
     let mut waived = Vec::new();
     let mut stats = LoopStats::default();
 
-    // 1. Effective class per loop of each reachable node.
-    let mut eff: BTreeMap<usize, Vec<Eff>> = BTreeMap::new();
+    // 1. Per loop of each reachable node, the cost factor of its
+    //    iteration count after waiver resolution.
+    let mut eff: BTreeMap<usize, Vec<Cost>> = BTreeMap::new();
     for &i in &reachable {
         let node = &graph.nodes[i];
-        let src = by_rel[node.path.as_str()];
+        let src = scope.file_of(i);
         let mut classes = Vec::with_capacity(graph.loops[i].len());
-        for l in &graph.loops[i] {
+        for l in graph.loops[i] {
             let e = match &l.class {
                 LoopClass::Constant => {
                     stats.constant += 1;
-                    Eff::Constant
+                    Cost::ONE
                 }
                 LoopClass::InputBounded(_) => {
                     stats.input_bounded += 1;
-                    Eff::Input
+                    Cost::LINEAR
                 }
-                LoopClass::Unknown => {
-                    match waiver_covers(&src.masked.waivers, Rule::WcetUnbounded, l.line) {
-                        Some(reason) => {
-                            stats.waived += 1;
-                            waived.push(loop_finding(node, l, src, Some(reason)));
-                            Eff::Input
-                        }
-                        None => {
-                            stats.unbounded += 1;
-                            findings.push(loop_finding(node, l, src, None));
-                            Eff::Unbounded
-                        }
+                LoopClass::Unknown => match src.masked.waiver(Rule::WcetUnbounded, l.line) {
+                    Some(reason) => {
+                        stats.waived += 1;
+                        waived.push(loop_finding(node, l, src, Some(reason)));
+                        Cost::LINEAR
                     }
-                }
+                    None => {
+                        stats.unbounded += 1;
+                        findings.push(loop_finding(node, l, src, None));
+                        Cost::Unbounded
+                    }
+                },
             };
             classes.push(e);
         }
@@ -519,7 +287,7 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> WcetAnalysis {
         let mut m = Cost::ONE;
         for (l, e) in graph.loops[i].iter().zip(&eff[&i]) {
             if l.span.0 < at && at < l.span.1 {
-                m = m.times(e.factor());
+                m = m.times(*e);
             }
         }
         m
@@ -528,18 +296,18 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> WcetAnalysis {
     // 2. Intra-procedural seed: loops themselves plus external calls.
     let n = graph.nodes.len();
     let mut cost = vec![Cost::ONE; n];
-    let mut wit: Vec<Option<Witness>> = vec![None; n];
+    let mut wit: Vec<Option<Hop>> = vec![None; n];
     for &i in &reachable {
         let node = &graph.nodes[i];
         for (l, e) in graph.loops[i].iter().zip(&eff[&i]) {
-            let total = mult_at(i, l.span.0).times(e.factor());
+            let total = mult_at(i, l.span.0).times(*e);
             if total > cost[i] {
                 cost[i] = total;
                 let bound = match &l.class {
                     LoopClass::InputBounded(s) => format!("`{}` loop over {s}", l.keyword),
                     _ => format!("`{}` loop", l.keyword),
                 };
-                wit[i] = Some(Witness {
+                wit[i] = Some(Hop {
                     path: node.path.clone(),
                     line: l.line,
                     what: bound,
@@ -557,7 +325,7 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> WcetAnalysis {
             let total = mult_at(i, se.site.offset).times(ext);
             if total > cost[i] {
                 cost[i] = total;
-                wit[i] = Some(Witness {
+                wit[i] = Some(Hop {
                     path: node.path.clone(),
                     line: se.site.line,
                     what: format!("`{}` call ({})", se.site.name, ext.render()),
@@ -582,7 +350,7 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> WcetAnalysis {
                     if cand > cost[i] {
                         cost[i] = cand;
                         wit[i] = wit[c].clone().or_else(|| {
-                            Some(Witness {
+                            Some(Hop {
                                 path: graph.nodes[i].path.clone(),
                                 line: se.site.line,
                                 what: format!("`{}` call", se.site.name),
@@ -596,36 +364,25 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> WcetAnalysis {
     }
 
     // 4. Blocking surface over the reachable set.
+    let blocking = Words::new(BLOCKING_PATTERNS);
     for &i in &reachable {
         let node = &graph.nodes[i];
         let Some(body) = node.body else { continue };
-        let src = by_rel[node.path.as_str()];
-        let lines = crate::parse::LineIndex::new(&src.masked.masked);
-        for pat in BLOCKING_PATTERNS {
-            for at in pattern_offsets(&src.masked.masked, body, pat) {
-                let line = lines.line_of(at);
-                let construct = pat.trim_matches(|c| c == '.' || c == '(').to_owned();
-                let f = Finding {
-                    rule: Rule::HotPathBlocking,
-                    path: node.path.clone(),
-                    line,
-                    snippet: snippet_of(src, line),
-                    message: format!(
-                        "`{construct}` can block in hot-path-reachable fn `{}`; the dispatch \
-                         path must not wait on I/O, locks, channels or sleeps — move it out, \
-                         or waive with `hcperf-lint: allow(hot-path-blocking)` and a reason",
-                        node.qualified()
-                    ),
-                    waived: None,
-                    chain: Vec::new(),
-                };
-                match waiver_covers(&src.masked.waivers, Rule::HotPathBlocking, line) {
-                    Some(reason) => waived.push(Finding {
-                        waived: Some(reason),
-                        ..f
-                    }),
-                    None => findings.push(f),
-                }
+        let src = scope.file_of(i);
+        for (k, at) in blocking.find(&src.masked.masked, body) {
+            let pat = BLOCKING_PATTERNS[k];
+            let line = src.masked.lines.line_of(at);
+            let construct = pat.trim_matches(|c| c == '.' || c == '(').to_owned();
+            let message = format!(
+                "`{construct}` can block in hot-path-reachable fn `{}`; the dispatch \
+                 path must not wait on I/O, locks, channels or sleeps — move it out, \
+                 or waive with `hcperf-lint: allow(hot-path-blocking)` and a reason",
+                node.qualified()
+            );
+            let f = Finding::at(Rule::HotPathBlocking, src, line, message);
+            match src.masked.waiver(Rule::HotPathBlocking, line) {
+                Some(reason) => waived.push(f.waived(Some(reason))),
+                None => findings.push(f),
             }
         }
     }
@@ -648,31 +405,23 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> WcetAnalysis {
     let has_unbounded_finding = findings.iter().any(|f| f.rule == Rule::WcetUnbounded);
     for c in &certs {
         if c.cost == Cost::Unbounded && !has_unbounded_finding {
-            let src = by_rel[c.path.as_str()];
             let (line, what) = c
                 .witness
                 .as_ref()
                 .map_or((1, "degree saturation".to_owned()), |w| {
                     (w.line, w.what.clone())
                 });
-            findings.push(Finding {
-                rule: Rule::WcetUnbounded,
-                path: c.path.clone(),
-                line,
-                snippet: snippet_of(src, line),
-                message: format!(
-                    "hot-path root `{}` has no bounded certificate ({}); every root must \
-                     admit a symbolic cost bound",
-                    c.name, what
-                ),
-                waived: None,
-                chain: Vec::new(),
-            });
+            let message = format!(
+                "hot-path root `{}` has no bounded certificate ({what}); every root must \
+                 admit a symbolic cost bound",
+                c.name
+            );
+            findings.push(scope.finding(Rule::WcetUnbounded, &c.path, line, message));
         }
     }
 
-    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    WcetAnalysis {
+    sort_findings(&mut findings);
+    Wcet {
         certs,
         findings,
         waived,
@@ -682,117 +431,115 @@ pub(crate) fn analyze(sources: &[SourceFile]) -> WcetAnalysis {
 }
 
 fn loop_finding(
-    node: &crate::callgraph::FnNode,
+    node: &crate::parse::FnItem,
     l: &crate::parse::LoopSite,
     src: &SourceFile,
     waived: Option<String>,
 ) -> Finding {
-    Finding {
-        rule: Rule::WcetUnbounded,
-        path: node.path.clone(),
-        line: l.line,
-        snippet: snippet_of(src, l.line),
-        message: format!(
-            "`{}` loop in hot-path-reachable fn `{}` has no lexically visible bound; \
-             restructure it as a bounded loop, or assert the bound with \
-             `hcperf-lint: allow(wcet-unbounded)` and a reason",
-            l.keyword,
-            node.qualified()
-        ),
-        waived,
-        chain: Vec::new(),
-    }
+    let message = format!(
+        "`{}` loop in hot-path-reachable fn `{}` has no lexically visible bound; \
+         restructure it as a bounded loop, or assert the bound with \
+         `hcperf-lint: allow(wcet-unbounded)` and a reason",
+        l.keyword,
+        node.qualified()
+    );
+    Finding::at(Rule::WcetUnbounded, src, l.line, message).waived(waived)
 }
 
-/// Runs the WCET analysis over the workspace rooted at `root`.
-///
-/// When `against_baseline` is true, per-root certificates are compared to
-/// [`CERT_PATH`] and any cost increase produces [`Rule::WcetCert`]
-/// findings anchored at the dominant construct; a missing certificate
-/// file is an error so CI cannot silently skip the gate.
-///
-/// # Errors
-///
-/// Propagates I/O failures and certificate-format problems.
-pub fn run_wcet(root: &Path, against_baseline: bool) -> io::Result<WcetReport> {
-    let sources = load_sources(root, &DETERMINISTIC_CRATES, true)?;
-    let mut analysis = analyze(&sources);
-
-    let mut ratchet = None;
-    if against_baseline {
-        let path = root.join(CERT_PATH);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!(
-                    "cannot read WCET certificates {}: {e}; bootstrap with --update-baselines",
-                    path.display()
-                ),
+impl Wcet {
+    /// The `wcet` ratchet rows: one certificate per root.
+    #[must_use]
+    pub fn rows(&self) -> Rows {
+        let row = |c: &CertRow| {
+            (
+                (Analysis::Wcet, c.name.clone(), c.path.clone()),
+                Value::Cost(c.cost),
             )
-        })?;
-        let baseline =
-            parse_certs(&text).map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?;
-        let cmp = compare(&analysis.certs, &baseline);
-        let by_rel: BTreeMap<&str, &SourceFile> =
-            sources.iter().map(|s| (s.rel.as_str(), s)).collect();
-        for g in &cmp.growth {
-            let row = analysis
-                .certs
-                .iter()
-                .find(|c| c.name == g.name && c.path == g.path);
-            let (path, line, what) = row.and_then(|c| c.witness.as_ref()).map_or_else(
-                || (g.path.clone(), 1, "no dominant construct".to_owned()),
-                |w| (w.path.clone(), w.line, w.what.clone()),
-            );
-            let snippet = by_rel
-                .get(path.as_str())
-                .map_or_else(String::new, |s| snippet_of(s, line));
-            analysis.findings.push(Finding {
-                rule: Rule::WcetCert,
-                path,
-                line,
-                snippet,
-                message: format!(
-                    "hot-path root `{}` now costs {}, certified {} in {CERT_PATH} \
-                     (dominant: {what}); lower the cost, or regenerate certificates \
-                     deliberately with --update-baselines",
-                    g.name,
-                    g.current.map_or_else(|| "?".to_owned(), Cost::render),
-                    g.baseline
-                        .map_or_else(|| "nothing (new root)".to_owned(), Cost::render),
-                ),
-                waived: None,
-                chain: Vec::new(),
-            });
-        }
-        analysis
-            .findings
-            .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-        ratchet = Some(cmp);
+        };
+        self.certs.iter().map(row).collect()
     }
 
-    Ok(WcetReport {
-        certs: analysis.certs,
-        findings: analysis.findings,
-        waived: analysis.waived,
-        ratchet,
-        loop_stats: analysis.loop_stats,
-        reachable_fns: analysis.reachable_fns,
-        files_scanned: sources.len(),
-    })
+    /// The `wcet` section: any certificate growth becomes a
+    /// [`Rule::WcetCert`] finding anchored at the root's dominant construct.
+    #[must_use]
+    pub fn section(self, cmp: &Comparison, scope: &Scope<'_>) -> Section {
+        let cmp = cmp.of(Analysis::Wcet);
+        let mut findings = self.findings;
+        for g in &cmp.growth {
+            let row = self
+                .certs
+                .iter()
+                .find(|c| c.name == g.name() && c.path == g.path());
+            let (path, line, what) = row.and_then(|c| c.witness.as_ref()).map_or_else(
+                || (g.path().to_owned(), 1, "no dominant construct".to_owned()),
+                |w| (w.path.clone(), w.line, w.what.clone()),
+            );
+            let render =
+                |v: Option<Value>, none: &str| v.map_or_else(|| none.to_owned(), Value::render);
+            let message = format!(
+                "hot-path root `{}` now costs {}, certified {} in {RATCHET_PATH} \
+                 (dominant: {what}); lower the cost, or regenerate certificates \
+                 deliberately with --update-baselines",
+                g.name(),
+                render(g.current, "?"),
+                render(g.baseline, "nothing (new root)"),
+            );
+            findings.push(scope.finding(Rule::WcetCert, &path, line, message));
+        }
+        sort_findings(&mut findings);
+
+        let stats = self.loop_stats;
+        let certs: Vec<String> = self
+            .certs
+            .iter()
+            .map(|c| {
+                format!(
+                    "{{\"root\":\"{}\",\"cost\":\"{}\",\"path\":\"{}\"}}",
+                    json_escape(&c.name),
+                    c.cost.render(),
+                    json_escape(&c.path)
+                )
+            })
+            .collect();
+        let mut lines: Vec<String> = self
+            .certs
+            .iter()
+            .map(|c| format!("cert {:<50} {}", c.name, c.cost.render()))
+            .collect();
+        lines.push(format!(
+            "hcperf-lint wcet: {} certificates, {} reachable fns, loops {}c/{}i/{}w/{}u, {} findings, {} waived",
+            self.certs.len(),
+            self.reachable_fns,
+            stats.constant,
+            stats.input_bounded,
+            stats.waived,
+            stats.unbounded,
+            findings.len(),
+            self.waived.len(),
+        ));
+        let mut section = Section::new("wcet", findings, self.waived, Some(cmp));
+        section.json = vec![
+            format!("\"certificates\":[{}]", certs.join(",")),
+            format!("\"reachable_fns\":{}", self.reachable_fns),
+            format!(
+                "\"loops\":{{\"constant\":{},\"input_bounded\":{},\"waived\":{},\"unbounded\":{}}}",
+                stats.constant, stats.input_bounded, stats.waived, stats.unbounded
+            ),
+        ];
+        section.lines = lines;
+        section
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::mask;
+    use crate::ratchet::{compare, parse, render};
+    use crate::report::exit;
 
-    fn src_file(rel: &str, raw: &str) -> SourceFile {
-        SourceFile {
-            rel: rel.to_owned(),
-            raw: raw.to_owned(),
-            masked: mask(raw),
-        }
+    fn analyze_src(raw: &str) -> Wcet {
+        let file = SourceFile::new("k.rs", "crates/core/src", raw.to_owned());
+        analyze(&Scope::new([&file]))
     }
 
     #[test]
@@ -835,68 +582,60 @@ mod tests {
         assert_eq!(Cost::parse("O(m)"), None);
     }
 
+    /// A root over `depth` nested `for` loops (the innermost on line
+    /// `2 + depth`).
+    fn nest(depth: usize) -> Wcet {
+        let mut src = "// hcperf-lint: hot-path-root\nfn root(xs: &[u32]) {\n".to_owned();
+        src += &"for x in xs {\n".repeat(depth);
+        src += &"}\n".repeat(depth + 1);
+        analyze_src(&src)
+    }
+
     #[test]
     fn certificates_round_trip_and_ratchet() {
-        let rows = vec![
-            CertRow {
-                name: "GammaScratch::rank".to_owned(),
-                path: "crates/core/src/dps.rs".to_owned(),
-                cost: Cost::N_LOG_N,
-                witness: None,
-            },
-            CertRow {
-                name: "Sim::try_dispatch".to_owned(),
-                path: "crates/rtsim/src/sim.rs".to_owned(),
-                cost: Cost::Bounded { degree: 2, logs: 0 },
-                witness: None,
-            },
-        ];
-        let text = render_certs(&rows);
-        let parsed = parse_certs(&text).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert!(compare(&rows, &parsed).ok());
+        let recorded = nest(1).rows();
+        assert_eq!(recorded.values().next(), Some(&Value::Cost(Cost::LINEAR)));
+        assert_eq!(parse(&render(&recorded)).unwrap(), recorded);
 
-        // Raising a degree trips the ratchet; shrinking passes.
-        let mut grown = rows.clone();
-        grown[0].cost = Cost::Bounded { degree: 2, logs: 1 };
-        let cmp = compare(&grown, &parsed);
-        assert!(!cmp.ok());
-        assert_eq!(cmp.growth[0].name, "GammaScratch::rank");
+        // Raising a degree trips the ratchet at the inner loop's line.
+        let quadratic = nest(2);
+        let cmp = compare(&quadratic.rows(), &recorded);
+        assert_eq!(cmp.growth.len(), 1);
+        assert_eq!(cmp.growth[0].name(), "root");
+        let file = SourceFile::new("k.rs", "crates/core/src", String::new());
+        let section = quadratic.section(&cmp, &Scope::new([&file]));
+        assert_eq!(section.exit_code, exit::RATCHET);
+        assert_eq!(section.findings.len(), 1);
+        assert_eq!(section.findings[0].rule, Rule::WcetCert);
+        assert_eq!(section.findings[0].line, 4);
+        assert!(section.findings[0].message.contains("O(n^2)"));
 
-        let mut shrunk = rows.clone();
-        shrunk[1].cost = Cost::LINEAR;
-        assert!(compare(&shrunk, &parsed).ok());
-
-        // A new root must be certified deliberately.
-        let mut extended = rows.clone();
-        extended.push(CertRow {
-            name: "newcomer".to_owned(),
-            path: "x.rs".to_owned(),
-            cost: Cost::ONE,
-            witness: None,
-        });
-        assert!(!compare(&extended, &parsed).ok());
+        // Shrinking passes; a new root must be certified deliberately, and
+        // a root that disappears is shrink.
+        let cmp = compare(&nest(0).rows(), &recorded);
+        assert!(cmp.growth.is_empty());
+        assert_eq!(cmp.shrink.len(), 1);
+        assert_eq!(compare(&recorded, &Rows::new()).growth[0].baseline, None);
+        assert_eq!(compare(&Rows::new(), &recorded).shrink[0].current, None);
     }
 
     #[test]
     fn rejects_malformed_certificates() {
-        assert!(parse_certs("nonsense").is_err());
-        assert!(parse_certs("root\tO(n!)\tx.rs").is_err());
-        assert!(parse_certs("# comment\nroot\tO(n)\tx.rs\n").is_ok());
+        assert!(parse("wcet\troot\tO(n!)\tx.rs").is_err());
+        assert!(parse("wcet\troot\t3\tx.rs").is_err());
+        assert!(parse("# comment\nwcet\troot\tO(n)\tx.rs\n").is_ok());
     }
 
     #[test]
     fn sort_call_yields_n_log_n_certificate() {
-        let files = [src_file(
-            "k.rs",
+        let a = analyze_src(
             "\
 // hcperf-lint: hot-path-root
 fn rank(xs: &mut [u32]) {
     xs.sort_unstable();
 }
 ",
-        )];
-        let a = analyze(&files);
+        );
         assert_eq!(a.certs.len(), 1);
         assert_eq!(a.certs[0].cost, Cost::N_LOG_N);
         assert!(a.findings.is_empty(), "{:?}", a.findings);
@@ -909,8 +648,7 @@ fn rank(xs: &mut [u32]) {
 
     #[test]
     fn nested_loops_multiply_and_propagate_through_calls() {
-        let files = [src_file(
-            "k.rs",
+        let a = analyze_src(
             "\
 // hcperf-lint: hot-path-root
 fn root(n: usize) {
@@ -925,8 +663,7 @@ fn helper(n: usize) {
 }
 fn touch(_i: usize) {}
 ",
-        )];
-        let a = analyze(&files);
+        );
         let root = a.certs.iter().find(|c| c.name == "root").unwrap();
         assert_eq!(root.cost, Cost::Bounded { degree: 2, logs: 0 });
         // The witness resolves transitively to the concrete inner loop.
@@ -936,8 +673,7 @@ fn touch(_i: usize) {}
 
     #[test]
     fn unwaived_unbounded_loop_is_a_finding_and_unbounded_cert() {
-        let files = [src_file(
-            "k.rs",
+        let a = analyze_src(
             "\
 // hcperf-lint: hot-path-root
 fn root() {
@@ -947,8 +683,7 @@ fn root() {
 }
 fn done() -> bool { true }
 ",
-        )];
-        let a = analyze(&files);
+        );
         assert_eq!(a.certs[0].cost, Cost::Unbounded);
         assert_eq!(a.findings.len(), 1);
         assert_eq!(a.findings[0].rule, Rule::WcetUnbounded);
@@ -957,8 +692,7 @@ fn done() -> bool { true }
 
     #[test]
     fn waiver_demotes_unbounded_loop_to_input_bounded() {
-        let files = [src_file(
-            "k.rs",
+        let a = analyze_src(
             "\
 // hcperf-lint: hot-path-root
 fn root() {
@@ -969,8 +703,7 @@ fn root() {
 }
 fn done() -> bool { true }
 ",
-        )];
-        let a = analyze(&files);
+        );
         assert_eq!(a.certs[0].cost, Cost::LINEAR);
         assert!(a.findings.is_empty(), "{:?}", a.findings);
         assert_eq!(a.waived.len(), 1);
@@ -979,8 +712,7 @@ fn done() -> bool { true }
 
     #[test]
     fn blocking_constructs_in_reachable_code_are_findings() {
-        let files = [src_file(
-            "k.rs",
+        let a = analyze_src(
             "\
 // hcperf-lint: hot-path-root
 fn root() {
@@ -989,8 +721,7 @@ fn root() {
     println!(\"dispatch\");
 }
 ",
-        )];
-        let a = analyze(&files);
+        );
         let rules: Vec<(usize, &str)> =
             a.findings.iter().map(|f| (f.line, f.rule.name())).collect();
         assert!(rules.contains(&(3, "hot-path-blocking")), "{rules:?}"); // Mutex type
@@ -1000,8 +731,7 @@ fn root() {
 
     #[test]
     fn unreachable_code_is_not_analyzed() {
-        let files = [src_file(
-            "k.rs",
+        let a = analyze_src(
             "\
 // hcperf-lint: hot-path-root
 fn root() {}
@@ -1011,8 +741,7 @@ fn cold() {
     loop { println!(\"spin\"); }
 }
 ",
-        )];
-        let a = analyze(&files);
+        );
         assert!(a.findings.is_empty(), "{:?}", a.findings);
         assert_eq!(a.certs[0].cost, Cost::ONE);
         assert_eq!(a.loop_stats, LoopStats::default());
@@ -1023,8 +752,7 @@ fn cold() {
         // A depth-0 call cycle (mutual recursion) stabilizes at the max of
         // the intra costs instead of diverging — documented
         // under-approximation; cycles *through loops* saturate instead.
-        let files = [src_file(
-            "k.rs",
+        let a = analyze_src(
             "\
 // hcperf-lint: hot-path-root
 fn even(n: usize) { odd(n); }
@@ -1033,18 +761,15 @@ fn even(n: usize) { odd(n); }
 fn odd(n: usize) { for i in 0..n { touch(i); } even(n); }
 fn touch(_i: usize) {}
 ",
-        )];
-        let a = analyze(&files);
+        );
         assert_eq!(a.certs[0].cost, Cost::LINEAR);
 
-        let files = [src_file(
-            "k.rs",
+        let a = analyze_src(
             "\
 // hcperf-lint: hot-path-root
 fn spin(n: usize) { for _ in 0..n { spin(n); } }
 ",
-        )];
-        let a = analyze(&files);
+        );
         assert_eq!(
             a.certs[0].cost,
             Cost::Unbounded,

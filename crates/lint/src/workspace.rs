@@ -1,16 +1,20 @@
-//! Workspace walking and the source-lint orchestration.
+//! The one load: every source tree any analysis reads, each file read,
+//! masked and (for call-graph trees) parsed exactly once.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::ratchet::{self, RatchetReport};
-use crate::report::{exit, finding_json, Finding};
-use crate::rules::{scan_file, RuleSet};
+use crate::callgraph::CallGraph;
+use crate::parse::{parse_file_marked, ParsedFile};
+use crate::report::{Finding, Rule};
+use crate::rules::RuleSet;
+use crate::source::{mask, MaskedFile};
 
 /// Crates whose simulation results must be bit-reproducible: every rule
-/// family applies to their `src/` trees.
+/// family applies to their `src/` trees, and they form the hot-path and
+/// WCET call graph.
 pub const DETERMINISTIC_CRATES: [&str; 7] = [
     "crates/taskgraph/src",
     "crates/rtsim/src",
@@ -33,154 +37,113 @@ pub const WALL_CLOCK_ONLY_ROOTS: [&str; 3] = ["crates/cli/src", "crates/lint/src
 /// replaying the log would forfeit the crash-safety it exists to give.
 pub const RATCHET_ONLY_ROOTS: [&str; 2] = ["crates/harness/src", "crates/store/src"];
 
-/// Workspace-relative path of the checked-in ratchet baseline.
-pub const BASELINE_PATH: &str = "crates/lint/unwrap_baseline.txt";
+/// Trees det-flow reads *in addition to* [`DETERMINISTIC_CRATES`]: the
+/// output sinks live in the harness/store/cli/bench layers. Optional, so
+/// fixture workspaces without every crate still analyze.
+pub const EXTRA_ROOTS: [&str; 5] = [
+    "crates/harness/src",
+    "crates/store/src",
+    "crates/cli/src",
+    "crates/bench/src",
+    "src",
+];
 
-/// Aggregated result of the source pass over the whole workspace.
-#[derive(Debug)]
-pub struct LintReport {
-    /// Unwaived findings (fail the run).
-    pub findings: Vec<Finding>,
-    /// Waived findings with their reasons (informational).
-    pub waived: Vec<Finding>,
-    /// Ratchet comparison; `None` when running with `--update-baseline`.
-    pub ratchet: Option<RatchetReport>,
-    /// Measured per-file unwrap counts (for baseline regeneration).
-    pub unwrap_counts: BTreeMap<String, usize>,
-    /// Number of `.rs` files scanned.
-    pub files_scanned: usize,
-}
+/// Per-crate `tests/` trees and the umbrella integration tests, scanned
+/// for Eq. coverage test sites alongside `#[cfg(test)]` modules. Optional.
+pub const TEST_ROOTS: [&str; 7] = [
+    "crates/taskgraph/tests",
+    "crates/rtsim/tests",
+    "crates/control/tests",
+    "crates/vehicle/tests",
+    "crates/scenarios/tests",
+    "crates/core/tests",
+    "tests",
+];
 
-impl LintReport {
-    /// The process exit code this report maps to.
-    #[must_use]
-    pub fn exit_code(&self) -> i32 {
-        if !self.findings.is_empty() {
-            exit::FINDINGS
-        } else if self.ratchet.as_ref().is_some_and(|r| !r.ok()) {
-            exit::RATCHET
-        } else {
-            exit::CLEAN
-        }
-    }
-
-    /// Renders the human diagnostics.
-    #[must_use]
-    pub fn render_human(&self) -> String {
-        let mut out = String::new();
-        for f in &self.findings {
-            out.push_str(&f.render());
-            out.push('\n');
-        }
-        if let Some(r) = &self.ratchet {
-            for g in &r.growth {
-                out.push_str(&format!(
-                    "{}: [unwrap-ratchet] {} unwrap/expect sites, baseline allows {}\n",
-                    g.path, g.current, g.baseline
-                ));
-            }
-            for s in &r.shrink {
-                out.push_str(&format!(
-                    "note: {} shrank to {} unwrap/expect sites (baseline {}); refresh with --update-baseline\n",
-                    s.path, s.current, s.baseline
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "hcperf-lint: {} files, {} findings, {} waived, unwrap ratchet {}/{}{}\n",
-            self.files_scanned,
-            self.findings.len(),
-            self.waived.len(),
-            self.ratchet.as_ref().map_or(0, |r| r.current_total),
-            self.ratchet.as_ref().map_or(0, |r| r.baseline_total),
-            match self.exit_code() {
-                exit::CLEAN => " — clean",
-                exit::RATCHET => " — RATCHET GROWTH",
-                _ => " — FAILED",
-            }
-        ));
-        out
-    }
-
-    /// Renders the machine-readable report.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let findings: Vec<String> = self.findings.iter().map(finding_json).collect();
-        let waived: Vec<String> = self.waived.iter().map(finding_json).collect();
-        let ratchet = self.ratchet.as_ref().map_or_else(
-            || "null".to_owned(),
-            |r| {
-                let growth: Vec<String> = r
-                    .growth
-                    .iter()
-                    .map(|d| {
-                        format!(
-                            "{{\"path\":\"{}\",\"baseline\":{},\"current\":{}}}",
-                            crate::report::json_escape(&d.path),
-                            d.baseline,
-                            d.current
-                        )
-                    })
-                    .collect();
-                let shrink: Vec<String> = r
-                    .shrink
-                    .iter()
-                    .map(|d| {
-                        format!(
-                            "{{\"path\":\"{}\",\"baseline\":{},\"current\":{}}}",
-                            crate::report::json_escape(&d.path),
-                            d.baseline,
-                            d.current
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"baseline_total\":{},\"current_total\":{},\"growth\":[{}],\"shrink\":[{}]}}",
-                    r.baseline_total,
-                    r.current_total,
-                    growth.join(","),
-                    shrink.join(",")
-                )
-            },
-        );
-        format!(
-            "{{\"schema_version\":{},\"mode\":\"lint\",\"files_scanned\":{},\"findings\":[{}],\"waived\":[{}],\"ratchet\":{},\"exit_code\":{}}}",
-            crate::report::SCHEMA_VERSION,
-            self.files_scanned,
-            findings.join(","),
-            waived.join(","),
-            ratchet,
-            self.exit_code()
-        )
-    }
-}
-
-/// One loaded source file: raw text plus its masking products.
+/// One loaded source file: raw text plus its masking and parse products.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
     pub rel: String,
+    /// The workspace-relative root the file was loaded from.
+    pub tree: &'static str,
     /// Raw file contents.
     pub raw: String,
-    /// Masked text, waivers, root markers, comment spans, test regions.
-    pub masked: crate::source::MaskedFile,
+    /// Masked text, waivers, markers, comment spans, test regions.
+    pub masked: MaskedFile,
+    /// Items, call sites and loops; `None` outside the call-graph trees
+    /// ([`DETERMINISTIC_CRATES`] and [`EXTRA_ROOTS`]).
+    pub parsed: Option<ParsedFile>,
 }
 
-/// Loads and masks every `.rs` file under the given workspace-relative
-/// roots, in sorted order. Roots listed in `required` must exist; others
-/// (per-crate `tests/` dirs) are skipped silently when absent.
+impl SourceFile {
+    /// Masks `raw`, and parses it when `tree` feeds a call graph.
+    #[must_use]
+    pub fn new(rel: &str, tree: &'static str, raw: String) -> SourceFile {
+        let masked = mask(&raw);
+        let graph_tree = DETERMINISTIC_CRATES.contains(&tree) || EXTRA_ROOTS.contains(&tree);
+        SourceFile {
+            rel: rel.to_owned(),
+            tree,
+            parsed: graph_tree.then(|| parse_file_marked(rel, &masked)),
+            raw,
+            masked,
+        }
+    }
+
+    /// True when the file was loaded from one of `roots`.
+    #[must_use]
+    pub fn in_tree(&self, roots: &[&str]) -> bool {
+        roots.contains(&self.tree)
+    }
+
+    /// The source rules that apply to this file, by its tree.
+    #[must_use]
+    pub fn rule_set(&self) -> Option<RuleSet> {
+        if self.in_tree(&DETERMINISTIC_CRATES) {
+            Some(RuleSet::FULL)
+        } else if self.in_tree(&WALL_CLOCK_ONLY_ROOTS) {
+            Some(RuleSet::WALL_CLOCK_ONLY)
+        } else if self.in_tree(&RATCHET_ONLY_ROOTS) {
+            Some(RuleSet::RATCHET_ONLY)
+        } else {
+            None
+        }
+    }
+
+    /// The trimmed raw text of 1-based `line` (empty past the end).
+    #[must_use]
+    pub fn snippet(&self, line: usize) -> String {
+        let at = line.checked_sub(1).and_then(|l| self.raw.lines().nth(l));
+        at.map_or("", str::trim).to_owned()
+    }
+}
+
+/// Loads every `.rs` file under the analysis trees, in tree order
+/// (deterministic crates first, then the wall-clock-only, ratchet-only,
+/// det-flow and test trees), each file once even when several analyses
+/// read its tree.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; a missing required root is an error.
-pub fn load_sources(
-    root: &Path,
-    rel_roots: &[&str],
-    required: bool,
-) -> io::Result<Vec<SourceFile>> {
-    let mut out = Vec::new();
-    for rel_root in rel_roots {
-        let dir = root.join(rel_root);
+/// Propagates I/O failures. A missing deterministic, wall-clock-only or
+/// ratchet-only tree is an error; the det-flow and test trees are
+/// optional.
+pub fn load(root: &Path) -> io::Result<Vec<SourceFile>> {
+    let required = DETERMINISTIC_CRATES
+        .iter()
+        .chain(&WALL_CLOCK_ONLY_ROOTS)
+        .chain(&RATCHET_ONLY_ROOTS)
+        .map(|t| (*t, true));
+    let optional = EXTRA_ROOTS.iter().chain(&TEST_ROOTS).map(|t| (*t, false));
+    let mut files: Vec<SourceFile> = Vec::new();
+    let mut seen: Vec<&str> = Vec::new();
+    for (tree, required) in required.chain(optional) {
+        if seen.contains(&tree) {
+            continue;
+        }
+        seen.push(tree);
+        let dir = root.join(tree);
         if !dir.is_dir() {
             if required {
                 return Err(io::Error::new(
@@ -191,22 +154,12 @@ pub fn load_sources(
             continue;
         }
         for path in rust_files(&dir)? {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            let raw = fs::read_to_string(&path)?;
-            out.push((rel, raw));
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
+            let rel = rel.replace('\\', "/");
+            files.push(SourceFile::new(&rel, tree, fs::read_to_string(&path)?));
         }
     }
-    // Masking is the expensive per-file step; fan it out. `par::map`
-    // reassembles by index, so the (sorted) load order is preserved.
-    Ok(crate::par::map(&out, |(rel, raw)| SourceFile {
-        rel: rel.clone(),
-        raw: raw.clone(),
-        masked: crate::source::mask(raw),
-    }))
+    Ok(files)
 }
 
 /// Recursively collects `.rs` files under `dir`, sorted for reproducible
@@ -215,11 +168,8 @@ fn rust_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
-        let mut entries: Vec<PathBuf> = fs::read_dir(&d)?
-            .map(|e| e.map(|e| e.path()))
-            .collect::<io::Result<_>>()?;
-        entries.sort();
-        for path in entries {
+        for entry in fs::read_dir(&d)? {
+            let path = entry?.path();
             if path.is_dir() {
                 stack.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
@@ -231,80 +181,56 @@ fn rust_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-fn scan_root(
-    root: &Path,
-    rel_root: &str,
-    rules: RuleSet,
-    report: &mut LintReport,
-) -> io::Result<()> {
-    let src = root.join(rel_root);
-    if !src.is_dir() {
-        return Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("expected source tree at {}", src.display()),
-        ));
-    }
-    for path in rust_files(&src)? {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let text = fs::read_to_string(&path)?;
-        let scan = scan_file(&rel, &text, rules);
-        report.files_scanned += 1;
-        report.findings.extend(scan.findings);
-        report.waived.extend(scan.waived);
-        if rules.unwrap_ratchet {
-            report.unwrap_counts.insert(rel, scan.unwrap_count);
+/// A call graph over a subset of the loaded files, with each node's file
+/// at hand. The hot-path/WCET scope is the deterministic crates; the
+/// det-flow scope adds [`EXTRA_ROOTS`]. The scopes stay separate because
+/// name-based resolution over the union would add false hot-path edges.
+#[derive(Debug)]
+pub struct Scope<'a> {
+    /// The files in graph order.
+    pub files: Vec<&'a SourceFile>,
+    /// The call graph over their parsed items.
+    pub graph: CallGraph<'a>,
+    by_rel: BTreeMap<&'a str, &'a SourceFile>,
+}
+
+impl<'a> Scope<'a> {
+    /// Builds the graph over `files` (unparsed files contribute nothing).
+    #[must_use]
+    pub fn new(files: impl IntoIterator<Item = &'a SourceFile>) -> Scope<'a> {
+        let files: Vec<&SourceFile> = files.into_iter().collect();
+        let graph = CallGraph::build(files.iter().filter_map(|f| f.parsed.as_ref()));
+        let by_rel = files.iter().map(|f| (f.rel.as_str(), *f)).collect();
+        Scope {
+            files,
+            graph,
+            by_rel,
         }
     }
-    Ok(())
-}
 
-/// Runs the source pass over the workspace rooted at `root`.
-///
-/// When `against_baseline` is true the unwrap counts are compared against
-/// [`BASELINE_PATH`]; a missing or malformed baseline is an error so CI
-/// cannot silently skip the ratchet.
-///
-/// # Errors
-///
-/// Propagates I/O failures and baseline-format problems.
-pub fn run_source_lint(root: &Path, against_baseline: bool) -> io::Result<LintReport> {
-    let mut report = LintReport {
-        findings: Vec::new(),
-        waived: Vec::new(),
-        ratchet: None,
-        unwrap_counts: BTreeMap::new(),
-        files_scanned: 0,
-    };
-    for rel in DETERMINISTIC_CRATES {
-        scan_root(root, rel, RuleSet::FULL, &mut report)?;
+    /// The file that defines node `i`.
+    #[must_use]
+    pub fn file_of(&self, i: usize) -> &'a SourceFile {
+        self.by_rel[self.graph.nodes[i].path.as_str()]
     }
-    for rel in WALL_CLOCK_ONLY_ROOTS {
-        scan_root(root, rel, RuleSet::WALL_CLOCK_ONLY, &mut report)?;
-    }
-    for rel in RATCHET_ONLY_ROOTS {
-        scan_root(root, rel, RuleSet::RATCHET_ONLY, &mut report)?;
-    }
-    if against_baseline {
-        let path = root.join(BASELINE_PATH);
-        let text = fs::read_to_string(&path).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!(
-                    "cannot read ratchet baseline {}: {e}; bootstrap with --update-baseline",
-                    path.display()
-                ),
-            )
-        })?;
-        let baseline = parse_baseline_io(&text)?;
-        report.ratchet = Some(ratchet::compare(&report.unwrap_counts, &baseline));
-    }
-    Ok(report)
-}
 
-fn parse_baseline_io(text: &str) -> io::Result<BTreeMap<String, usize>> {
-    ratchet::parse_baseline(text).map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))
+    /// An unwaived finding at `line` of the in-scope file `rel`.
+    #[must_use]
+    pub fn finding(&self, rule: Rule, rel: &str, line: usize, message: String) -> Finding {
+        Finding {
+            rule,
+            path: rel.to_owned(),
+            line,
+            snippet: self.file(rel).map(|f| f.snippet(line)).unwrap_or_default(),
+            message,
+            waived: None,
+            chain: Vec::new(),
+        }
+    }
+
+    /// The loaded file at workspace-relative `rel`, if in scope.
+    #[must_use]
+    pub fn file(&self, rel: &str) -> Option<&'a SourceFile> {
+        self.by_rel.get(rel).copied()
+    }
 }

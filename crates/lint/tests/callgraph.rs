@@ -6,7 +6,8 @@
 
 use std::path::{Path, PathBuf};
 
-use hcperf_lint::hotpath::run_hot_path;
+use hcperf_lint::hotpath;
+use hcperf_lint::workspace::{load, Scope, DETERMINISTIC_CRATES};
 
 fn real_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -18,7 +19,9 @@ fn real_root() -> PathBuf {
 
 #[test]
 fn real_hot_path_set_contains_the_dispatch_pipeline() {
-    let report = run_hot_path(&real_root(), false).expect("analysis runs");
+    let files = load(&real_root()).expect("workspace loads");
+    let scope = Scope::new(files.iter().filter(|f| f.in_tree(&DETERMINISTIC_CRATES)));
+    let report = hotpath::analyze(&scope);
 
     assert_eq!(report.roots.len(), 7, "{:?}", report.roots);
     // Everything a `hot-path-root` marker names is itself reachable.

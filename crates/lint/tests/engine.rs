@@ -1,13 +1,15 @@
 //! Integration tests: fixture files for every rule, waiver handling, the
-//! `--json` shape, ratchet growth/shrink, exit codes, and a clean run of
-//! both modes against the real workspace.
+//! `--json` shape, ratchet growth/shrink, per-section and process exit
+//! codes, and a clean run against the real workspace.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 use hcperf_lint::report::{exit, Rule};
 use hcperf_lint::rules::{scan_file, FileScan, RuleSet};
+use hcperf_lint::workspace::{DETERMINISTIC_CRATES, RATCHET_ONLY_ROOTS, WALL_CLOCK_ONLY_ROOTS};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -103,50 +105,73 @@ fn malformed_waiver_fixture_is_flagged() {
 // Binary end-to-end: exit codes and --json shape on synthetic workspaces.
 // ---------------------------------------------------------------------------
 
-/// Builds a minimal workspace layout the binary can scan, returning its
-/// root. `violations` maps workspace-relative paths to file contents.
-fn mini_workspace(tag: &str, violations: &[(&str, &str)], baseline: &str) -> PathBuf {
+/// The scheduler kernels the schedulability audit needs certified, as
+/// hot-path roots in every fixture workspace.
+const KERNELS: [&str; 6] = [
+    "gamma_max",
+    "Sim::try_dispatch",
+    "GammaScratch::rank",
+    "GammaScratch::feasible",
+    "DynamicPriorityScheduler::gamma_max_cached",
+    "PerformanceDirectedController::step",
+];
+
+/// [`KERNELS`] as empty hot-path roots: a free fn, or a method in an
+/// impl block of its type.
+fn kernel_stubs() -> String {
+    let root = "// hcperf-lint: hot-path-root";
+    let stub = |k: &&str| match k.split_once("::") {
+        Some((ty, f)) => format!("impl {ty} {{\n{root}\npub fn {f}(&self) {{}}\n}}\n"),
+        None => format!("{root}\npub fn {k}() {{}}\n"),
+    };
+    KERNELS.iter().map(stub).collect()
+}
+
+/// Implementation and test tags for every required paper equation.
+const PAPER_TAGS: &str = "\
+//! Eq. 2–12 are implemented here.
+pub fn paper() {}
+#[cfg(test)]
+mod tests {
+    // Eq. 2–12 are tested here.
+}
+";
+
+/// Builds a minimal valid workspace the binary can scan: every required
+/// tree, the kernel stubs (certified O(1) in the ratchet file), and the
+/// Eq. 2–12 tags. `files` maps workspace-relative paths to contents;
+/// `ratchet` is appended to the kernel rows of `crates/lint/ratchet.txt`.
+fn mini_workspace(tag: &str, files: &[(&str, &str)], ratchet: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("hcperf-lint-{}-{tag}", std::process::id()));
     if root.exists() {
         fs::remove_dir_all(&root).expect("clean stale fixture root");
     }
-    for dir in [
-        "crates/taskgraph/src",
-        "crates/rtsim/src",
-        "crates/control/src",
-        "crates/vehicle/src",
-        "crates/scenarios/src",
-        "crates/core/src",
-        "crates/faults/src",
-        "crates/cli/src",
-        "crates/lint/src",
-        "crates/harness/src",
-        "crates/store/src",
-        "src",
-    ] {
+    let trees = DETERMINISTIC_CRATES.iter().chain(&WALL_CLOCK_ONLY_ROOTS);
+    for dir in trees.chain(&RATCHET_ONLY_ROOTS) {
         fs::create_dir_all(root.join(dir)).expect("mkdir");
         fs::write(root.join(dir).join("lib.rs"), "// empty\n").expect("seed lib.rs");
     }
-    for (rel, text) in violations {
-        fs::write(root.join(rel), text).expect("write violation file");
+    let kernels = kernel_stubs();
+    let stubs = [
+        ("crates/core/src/kernels.rs", kernels.as_str()),
+        ("crates/core/src/paper.rs", PAPER_TAGS),
+    ];
+    for (rel, text) in stubs.iter().chain(files) {
+        fs::write(root.join(rel), text).expect("write fixture file");
     }
-    fs::write(root.join("crates/lint/unwrap_baseline.txt"), baseline).expect("write baseline");
-    fs::write(
-        root.join("crates/lint/hotpath_baseline.txt"),
-        "# empty hot-path baseline\n",
-    )
-    .expect("write hot-path baseline");
-    fs::write(
-        root.join("crates/lint/wcet_certificates.txt"),
-        "# empty WCET certificates\n",
-    )
-    .expect("write WCET certificates");
-    fs::write(
-        root.join("crates/lint/detflow_certificates.txt"),
-        "# empty det-flow certificates\n",
-    )
-    .expect("write det-flow certificates");
+    let mut rows: String = KERNELS
+        .iter()
+        .map(|k| format!("wcet\t{k}\tO(1)\tcrates/core/src/kernels.rs\n"))
+        .collect();
+    rows.push_str(ratchet);
+    fs::write(root.join("crates/lint/ratchet.txt"), rows).expect("write ratchet");
     root
+}
+
+/// `v` as an array, or a panic naming it.
+fn arr(v: &serde_json::Value) -> &Vec<serde_json::Value> {
+    v.as_array()
+        .unwrap_or_else(|| panic!("not an array: {v:?}"))
 }
 
 fn parse_json(out: &Output) -> serde_json::Value {
@@ -163,11 +188,45 @@ fn run_lint(root: &Path, args: &[&str]) -> Output {
         .expect("spawn hcperf-lint")
 }
 
+/// Runs the binary on `root`, asserting its process exit code.
+fn lint(root: &Path, args: &[&str], code: i32) -> Output {
+    let out = run_lint(root, args);
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {out:?}");
+    out
+}
+
+/// The `--json` report of a run that exits with `code`.
+fn lint_json(root: &Path, code: i32) -> serde_json::Value {
+    parse_json(&lint(root, &["--json"], code))
+}
+
+const SECTIONS: [&str; 6] = [
+    "source",
+    "hot_path",
+    "eq_coverage",
+    "wcet",
+    "det_flow",
+    "schedulability",
+];
+
+/// Each section's own exit code, in report order.
+fn section_codes(doc: &serde_json::Value) -> Vec<Option<f64>> {
+    SECTIONS
+        .iter()
+        .map(|s| doc[*s]["exit_code"].as_f64())
+        .collect()
+}
+
+fn code(c: i32) -> Option<f64> {
+    Some(f64::from(c))
+}
+
 #[test]
 fn binary_clean_workspace_exits_zero() {
-    let root = mini_workspace("clean", &[], "# empty baseline\n");
-    let out = run_lint(&root, &[]);
-    assert_eq!(out.status.code(), Some(exit::CLEAN), "{out:?}");
+    let root = mini_workspace("clean", &[], "");
+    lint(&root, &[], exit::CLEAN);
+    let doc = parse_json(&run_lint(&root, &["--json"]));
+    assert_eq!(section_codes(&doc), vec![code(exit::CLEAN); 6]);
 }
 
 #[test]
@@ -178,16 +237,19 @@ fn binary_findings_exit_one_with_json_shape() {
             "crates/rtsim/src/bad.rs",
             "use std::collections::HashMap;\npub fn t() { std::thread::sleep(d); }\n",
         )],
-        "# empty baseline\n",
+        "",
     );
-    let out = run_lint(&root, &["--json"]);
-    assert_eq!(out.status.code(), Some(exit::FINDINGS), "{out:?}");
-
-    let doc = parse_json(&out);
-    assert_eq!(doc["schema_version"].as_f64(), Some(2.0));
-    assert_eq!(doc["mode"].as_str(), Some("lint"));
-    assert_eq!(doc["exit_code"].as_f64(), Some(f64::from(exit::FINDINGS)));
-    let findings = doc["findings"].as_array().expect("findings array");
+    let doc = lint_json(&root, exit::FINDINGS);
+    assert_eq!(doc["schema_version"].as_f64(), Some(3.0));
+    assert_eq!(doc["exit_code"].as_f64(), code(exit::FINDINGS));
+    // Every section is always present, each with its own exit code.
+    let codes = section_codes(&doc);
+    assert_eq!(codes[0], code(exit::FINDINGS));
+    assert!(
+        codes[1..].iter().all(|c| *c == code(exit::CLEAN)),
+        "{codes:?}"
+    );
+    let findings = arr(&doc["source"]["findings"]);
     assert_eq!(findings.len(), 2);
     for f in findings {
         for key in ["rule", "path", "line", "snippet", "message"] {
@@ -202,30 +264,27 @@ fn binary_findings_exit_one_with_json_shape() {
 #[test]
 fn binary_ratchet_growth_exits_two_and_shrink_passes() {
     let unwrapping = "pub fn f(a: Option<u32>) -> u32 { a.unwrap() }\n";
-    // Baseline allows zero: one unwrap is growth.
+    // The ratchet allows zero: one unwrap is growth.
     let root = mini_workspace(
         "ratchet-grow",
         &[("crates/core/src/bad.rs", unwrapping)],
-        "# empty baseline\n",
+        "",
     );
-    let out = run_lint(&root, &["--json"]);
-    assert_eq!(out.status.code(), Some(exit::RATCHET), "{out:?}");
-    let doc = parse_json(&out);
-    let growth = doc["ratchet"]["growth"].as_array().expect("growth array");
+    let doc = lint_json(&root, exit::RATCHET);
+    assert_eq!(doc["source"]["exit_code"].as_f64(), code(exit::RATCHET));
+    let growth = arr(&doc["source"]["ratchet"]["growth"]);
     assert_eq!(growth.len(), 1);
     assert_eq!(growth[0]["path"].as_str(), Some("crates/core/src/bad.rs"));
     assert_eq!(growth[0]["current"].as_f64(), Some(1.0));
 
-    // Baseline allows five: one unwrap is shrink, which passes.
+    // The ratchet allows five: one unwrap is shrink, which passes.
     let root = mini_workspace(
         "ratchet-shrink",
         &[("crates/core/src/bad.rs", unwrapping)],
-        "5\tcrates/core/src/bad.rs\n",
+        "unwrap\tunwrap-ratchet\t5\tcrates/core/src/bad.rs\n",
     );
-    let out = run_lint(&root, &["--json"]);
-    assert_eq!(out.status.code(), Some(exit::CLEAN), "{out:?}");
-    let doc = parse_json(&out);
-    let shrink = doc["ratchet"]["shrink"].as_array().expect("shrink array");
+    let doc = lint_json(&root, exit::CLEAN);
+    let shrink = arr(&doc["source"]["ratchet"]["shrink"]);
     assert_eq!(shrink.len(), 1);
     assert_eq!(shrink[0]["baseline"].as_f64(), Some(5.0));
 }
@@ -233,9 +292,8 @@ fn binary_ratchet_growth_exits_two_and_shrink_passes() {
 #[test]
 fn binary_missing_baseline_is_usage_error() {
     let root = mini_workspace("no-baseline", &[], "");
-    fs::remove_file(root.join("crates/lint/unwrap_baseline.txt")).expect("remove baseline");
-    let out = run_lint(&root, &[]);
-    assert_eq!(out.status.code(), Some(exit::USAGE), "{out:?}");
+    fs::remove_file(root.join("crates/lint/ratchet.txt")).expect("remove ratchet");
+    lint(&root, &[], exit::USAGE);
 }
 
 #[test]
@@ -246,19 +304,17 @@ fn binary_update_baseline_round_trips() {
             "crates/vehicle/src/two.rs",
             "pub fn f(a: Option<u32>) -> u32 { a.unwrap() + a.expect(\"x\") }\n",
         )],
-        "# stale\n",
+        "",
     );
-    let out = run_lint(&root, &["--update-baseline"]);
-    assert_eq!(out.status.code(), Some(exit::CLEAN), "{out:?}");
-    let baseline =
-        fs::read_to_string(root.join("crates/lint/unwrap_baseline.txt")).expect("baseline exists");
+    lint(&root, &[], exit::RATCHET);
+    lint(&root, &["--update-baselines"], exit::CLEAN);
+    let ratchet = fs::read_to_string(root.join("crates/lint/ratchet.txt")).expect("ratchet");
     assert!(
-        baseline.contains("2\tcrates/vehicle/src/two.rs"),
-        "{baseline}"
+        ratchet.contains("unwrap\tunwrap-ratchet\t2\tcrates/vehicle/src/two.rs"),
+        "{ratchet}"
     );
     // And the freshly recorded state now passes.
-    let out = run_lint(&root, &[]);
-    assert_eq!(out.status.code(), Some(exit::CLEAN), "{out:?}");
+    lint(&root, &[], exit::CLEAN);
 }
 
 #[test]
@@ -270,9 +326,38 @@ fn binary_rejects_unknown_arguments() {
     assert_eq!(out.status.code(), Some(exit::USAGE));
 }
 
+#[test]
+fn binary_update_baselines_rejects_other_modes() {
+    // The per-analysis mode flags are gone: every run is the one pass.
+    let root = mini_workspace("baselines-usage", &[], "");
+    for flag in [
+        "--hot-path",
+        "--eq-coverage",
+        "--wcet",
+        "--det-flow",
+        "--schedulability",
+        "--update-baseline",
+    ] {
+        for args in [vec![flag], vec!["--update-baselines", flag]] {
+            let out = run_lint(&root, &args);
+            assert_eq!(out.status.code(), Some(exit::USAGE), "{args:?}: {out:?}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Binary end-to-end: the call-graph-aware analysis modes.
+// Binary end-to-end: the call-graph-aware sections.
 // ---------------------------------------------------------------------------
+
+/// The declared roots of a report other than the fixture kernels.
+fn own_roots(doc: &serde_json::Value) -> Vec<&str> {
+    let roots = arr(&doc["hot_path"]["roots"]);
+    roots
+        .iter()
+        .filter_map(|r| r.as_str())
+        .filter(|r| !KERNELS.contains(r))
+        .collect()
+}
 
 #[test]
 fn binary_hot_path_alloc_in_reachable_fn_fails_with_exact_line() {
@@ -286,17 +371,12 @@ fn binary_hot_path_alloc_in_reachable_fn_fails_with_exact_line() {
              pub fn root_fn(n: usize) -> usize {\n    helper(n)\n}\n\
              fn helper(n: usize) -> usize {\n    let v = vec![0u8; n];\n    v.len()\n}\n",
         )],
-        "# empty baseline\n",
+        "wcet\troot_fn\tO(1)\tcrates/core/src/hot.rs\n",
     );
-    let out = run_lint(&root, &["--hot-path", "--json"]);
-    assert_eq!(out.status.code(), Some(exit::RATCHET), "{out:?}");
-
-    let doc = parse_json(&out);
-    assert_eq!(doc["mode"].as_str(), Some("hot-path"));
-    let roots = doc["hot_path"]["roots"].as_array().expect("roots array");
-    assert_eq!(roots.len(), 1, "{roots:?}");
-    assert_eq!(roots[0].as_str(), Some("root_fn"));
-    let findings = doc["findings"].as_array().expect("findings array");
+    let doc = lint_json(&root, exit::RATCHET);
+    assert_eq!(own_roots(&doc), vec!["root_fn"]);
+    assert_eq!(doc["hot_path"]["exit_code"].as_f64(), code(exit::RATCHET));
+    let findings = arr(&doc["hot_path"]["findings"]);
     let alloc: Vec<_> = findings
         .iter()
         .filter(|f| f["rule"].as_str() == Some("hot-path-alloc"))
@@ -308,20 +388,21 @@ fn binary_hot_path_alloc_in_reachable_fn_fails_with_exact_line() {
 
 #[test]
 fn binary_hot_path_alloc_outside_reachable_set_is_ignored() {
-    // Same allocation, but no root marker anywhere: nothing is reachable,
-    // so the site does not count and the run is clean.
+    // Same allocation, but no root marker on it: only the kernels are
+    // reachable, so the site does not count and the run is clean.
     let root = mini_workspace(
         "hotpath-cold",
         &[(
             "crates/core/src/cold.rs",
             "pub fn cold(n: usize) -> usize {\n    let v = vec![0u8; n];\n    v.len()\n}\n",
         )],
-        "# empty baseline\n",
+        "",
     );
-    let out = run_lint(&root, &["--hot-path", "--json"]);
-    assert_eq!(out.status.code(), Some(exit::CLEAN), "{out:?}");
-    let doc = parse_json(&out);
-    assert_eq!(doc["hot_path"]["reachable_fns"].as_f64(), Some(0.0));
+    let doc = lint_json(&root, exit::CLEAN);
+    assert_eq!(
+        doc["hot_path"]["reachable_fns"].as_f64(),
+        Some(KERNELS.len() as f64)
+    );
 }
 
 #[test]
@@ -333,14 +414,15 @@ fn binary_untested_eq_tag_fails_eq_coverage_with_exact_line() {
             "crates/core/src/eq.rs",
             "// plain comment\n// Eq. 7: discrete quadrature lives here.\npub fn q() {}\n",
         )],
-        "# empty baseline\n",
+        "",
     );
-    let out = run_lint(&root, &["--eq-coverage", "--json"]);
-    assert_eq!(out.status.code(), Some(exit::FINDINGS), "{out:?}");
-
-    let doc = parse_json(&out);
-    assert_eq!(doc["mode"].as_str(), Some("eq-coverage"));
-    let findings = doc["findings"].as_array().expect("findings array");
+    fs::remove_file(root.join("crates/core/src/paper.rs")).expect("drop the Eq. 2-12 tags");
+    let doc = lint_json(&root, exit::FINDINGS);
+    assert_eq!(
+        doc["eq_coverage"]["exit_code"].as_f64(),
+        code(exit::FINDINGS)
+    );
+    let findings = arr(&doc["eq_coverage"]["findings"]);
     assert!(
         findings
             .iter()
@@ -360,8 +442,45 @@ fn binary_untested_eq_tag_fails_eq_coverage_with_exact_line() {
     assert!(findings.len() > 1, "untagged required equations also fail");
 }
 
+#[test]
+fn binary_exit_code_follows_cross_section_precedence() {
+    // Hot-path growth (2) and an orphaned Eq. tag (1): findings win.
+    let files = [
+        (
+            "crates/core/src/hot.rs",
+            "// hcperf-lint: hot-path-root\npub fn root_fn() -> Vec<u8> {\n    Vec::new()\n}\n",
+        ),
+        (
+            "crates/core/src/eq.rs",
+            "// Eq. 99 is not in the paper.\npub fn q() {}\n",
+        ),
+    ];
+    let rows = "wcet\troot_fn\tO(1)\tcrates/core/src/hot.rs\n";
+    let root = mini_workspace("precedence", &files, rows);
+    let doc = lint_json(&root, exit::FINDINGS);
+    let codes = section_codes(&doc);
+    assert_eq!(codes[1], code(exit::RATCHET), "hot_path: {codes:?}");
+    assert_eq!(codes[2], code(exit::FINDINGS), "eq_coverage: {codes:?}");
+    assert_eq!(doc["exit_code"].as_f64(), code(exit::FINDINGS));
+
+    // Without the kernel stubs the audit's Eq. 9 budgets lose their
+    // certificates: an infeasible-target failure outranks the rest.
+    fs::remove_file(root.join("crates/core/src/kernels.rs")).expect("drop kernels");
+    let doc = lint_json(&root, exit::SCHEDULABILITY);
+    let codes = section_codes(&doc);
+    assert_eq!(codes[5], code(exit::SCHEDULABILITY), "{codes:?}");
+    assert_eq!(codes[2], code(exit::FINDINGS), "{codes:?}");
+    let sched = arr(&doc["schedulability"]["findings"]);
+    assert!(
+        sched
+            .iter()
+            .any(|f| f["rule"].as_str() == Some("sched-wcet")),
+        "{sched:?}"
+    );
+}
+
 // ---------------------------------------------------------------------------
-// Binary end-to-end: WCET certificates and the baseline ratchet.
+// Binary end-to-end: WCET certificates and the ratchet.
 // ---------------------------------------------------------------------------
 
 /// A hot-path root whose dominant construct is the inner loop of an
@@ -377,6 +496,9 @@ const QUADRATIC_KERNEL: &str = "// hcperf-lint: hot-path-root\n\
     \x20   acc\n\
      }\n";
 
+/// The ratchet row that certifies [`QUADRATIC_KERNEL`] one degree too low.
+const STALE_CERT: &str = "wcet\tkernel\tO(n)\tcrates/core/src/hot.rs\n";
+
 #[test]
 fn binary_wcet_regression_trips_cert_ratchet_with_exact_line() {
     // The certificate on disk promises O(n); the code regressed to an
@@ -385,19 +507,10 @@ fn binary_wcet_regression_trips_cert_ratchet_with_exact_line() {
     let root = mini_workspace(
         "wcet-regress",
         &[("crates/core/src/hot.rs", QUADRATIC_KERNEL)],
-        "# empty baseline\n",
+        STALE_CERT,
     );
-    fs::write(
-        root.join("crates/lint/wcet_certificates.txt"),
-        "kernel\tO(n)\tcrates/core/src/hot.rs\n",
-    )
-    .expect("seed stale certificate");
-
-    let out = run_lint(&root, &["--wcet", "--json"]);
-    assert_eq!(out.status.code(), Some(exit::RATCHET), "{out:?}");
-    let doc = parse_json(&out);
-    assert_eq!(doc["mode"].as_str(), Some("wcet"));
-    let findings = doc["findings"].as_array().expect("findings array");
+    let doc = lint_json(&root, exit::RATCHET);
+    let findings = arr(&doc["wcet"]["findings"]);
     let cert: Vec<_> = findings
         .iter()
         .filter(|f| f["rule"].as_str() == Some("wcet-cert"))
@@ -407,13 +520,11 @@ fn binary_wcet_regression_trips_cert_ratchet_with_exact_line() {
     assert_eq!(cert[0]["line"].as_f64(), Some(5.0), "inner `for b` loop");
     let msg = cert[0]["message"].as_str().expect("message");
     assert!(msg.contains("O(n^2)") && msg.contains("O(n)"), "{msg}");
-    let growth = doc["wcet"]["ratchet"]["growth"]
-        .as_array()
-        .expect("growth array");
+    let growth = arr(&doc["wcet"]["ratchet"]["growth"]);
     assert_eq!(growth.len(), 1, "{growth:?}");
 
     // The same findings surface as GitHub annotation lines.
-    let out = run_lint(&root, &["--wcet", "--annotations"]);
+    let out = run_lint(&root, &["--annotations"]);
     let text = String::from_utf8(out.stdout.clone()).expect("utf8 stdout");
     assert!(
         text.contains("::error file=crates/core/src/hot.rs,line=5,title=hcperf-lint wcet-cert::"),
@@ -423,43 +534,24 @@ fn binary_wcet_regression_trips_cert_ratchet_with_exact_line() {
 
 #[test]
 fn binary_update_baselines_clears_dirty_certificates_in_one_run() {
-    // Dirty baseline -> exit 2; one --update-baselines run rewrites all
-    // three artifacts; the follow-up --wcet run is clean again.
+    // Dirty ratchet -> exit 2; one --update-baselines run rewrites it;
+    // the follow-up run is clean again.
     let root = mini_workspace(
         "wcet-refresh",
         &[("crates/core/src/hot.rs", QUADRATIC_KERNEL)],
-        "# empty baseline\n",
+        STALE_CERT,
     );
-    fs::write(
-        root.join("crates/lint/wcet_certificates.txt"),
-        "kernel\tO(n)\tcrates/core/src/hot.rs\n",
-    )
-    .expect("seed stale certificate");
-    let out = run_lint(&root, &["--wcet"]);
-    assert_eq!(out.status.code(), Some(exit::RATCHET), "dirty run: {out:?}");
+    lint(&root, &[], exit::RATCHET);
 
-    let out = run_lint(&root, &["--update-baselines"]);
-    assert_eq!(out.status.code(), Some(exit::CLEAN), "{out:?}");
-    let certs = fs::read_to_string(root.join("crates/lint/wcet_certificates.txt"))
-        .expect("rewritten certificates");
+    lint(&root, &["--update-baselines"], exit::CLEAN);
+    let ratchet = fs::read_to_string(root.join("crates/lint/ratchet.txt")).expect("ratchet");
     assert!(
-        certs.contains("kernel\tO(n^2)\tcrates/core/src/hot.rs"),
-        "{certs}"
+        ratchet.contains("wcet\tkernel\tO(n^2)\tcrates/core/src/hot.rs"),
+        "{ratchet}"
     );
-    for rewritten in [
-        "crates/lint/unwrap_baseline.txt",
-        "crates/lint/hotpath_baseline.txt",
-        "crates/lint/detflow_certificates.txt",
-    ] {
-        assert!(root.join(rewritten).exists(), "{rewritten} missing");
-    }
 
-    let out = run_lint(&root, &["--wcet", "--json"]);
-    assert_eq!(out.status.code(), Some(exit::CLEAN), "{out:?}");
-    let doc = parse_json(&out);
-    let growth = doc["wcet"]["ratchet"]["growth"]
-        .as_array()
-        .expect("growth array");
+    let doc = lint_json(&root, exit::CLEAN);
+    let growth = arr(&doc["wcet"]["ratchet"]["growth"]);
     assert!(growth.is_empty(), "{growth:?}");
 }
 
@@ -491,56 +583,57 @@ fn binary_det_flow_taint_through_helper_trips_ratchet_with_chain() {
     let root = mini_workspace(
         "detflow-taint",
         &[("crates/core/src/flow.rs", TAINTED_FLOW)],
-        "# empty baseline\n",
+        "",
     );
-    let out = run_lint(&root, &["--det-flow", "--json"]);
-    assert_eq!(out.status.code(), Some(exit::RATCHET), "{out:?}");
-
-    let doc = parse_json(&out);
-    assert_eq!(doc["schema_version"].as_f64(), Some(2.0));
-    assert_eq!(doc["mode"].as_str(), Some("det-flow"));
-    let sinks = doc["det_flow"]["sinks"].as_array().expect("sinks array");
+    // The lexical unordered-iteration rule fires on the same HashMap in
+    // the source section, and findings outrank the det-flow growth.
+    let doc = lint_json(&root, exit::FINDINGS);
+    assert_eq!(doc["source"]["exit_code"].as_f64(), code(exit::FINDINGS));
+    assert_eq!(doc["schema_version"].as_f64(), Some(3.0));
+    let det = &doc["det_flow"];
+    assert_eq!(det["exit_code"].as_f64(), code(exit::RATCHET));
+    let sinks = arr(&det["sinks"]);
     assert_eq!(sinks.len(), 1, "{sinks:?}");
     assert_eq!(sinks[0]["sink"].as_str(), Some("test-out"));
     assert_eq!(sinks[0]["status"].as_str(), Some("tainted:1"));
-    let growth = doc["det_flow"]["ratchet"]["growth"]
-        .as_array()
-        .expect("growth array");
+    let growth = arr(&det["ratchet"]["growth"]);
     assert_eq!(growth.len(), 1, "{growth:?}");
 
     // The finding anchors at the sink declaration and carries the full
     // interprocedural chain: source -> returned-through -> passed-into ->
     // sink, each hop with its exact line.
-    let findings = doc["findings"].as_array().expect("findings array");
-    let det: Vec<_> = findings
+    let findings = arr(&det["findings"]);
+    let flows: Vec<_> = findings
         .iter()
         .filter(|f| f["rule"].as_str() == Some("det-flow"))
         .collect();
-    assert_eq!(det.len(), 1, "{findings:?}");
-    assert_eq!(det[0]["path"].as_str(), Some("crates/core/src/flow.rs"));
-    assert_eq!(det[0]["line"].as_f64(), Some(10.0), "sink `fn emit` line");
-    let msg = det[0]["message"].as_str().expect("message");
+    assert_eq!(flows.len(), 1, "{findings:?}");
+    assert_eq!(flows[0]["path"].as_str(), Some("crates/core/src/flow.rs"));
+    assert_eq!(flows[0]["line"].as_f64(), Some(10.0), "sink `fn emit` line");
+    let msg = flows[0]["message"].as_str().expect("message");
     assert!(msg.contains("crates/core/src/flow.rs:3"), "{msg}");
     assert!(msg.contains("nothing (new sink)"), "{msg}");
-    let chain = det[0]["chain"].as_array().expect("chain array");
-    assert_eq!(chain.len(), 4, "{chain:?}");
-    assert_eq!(chain[0]["line"].as_f64(), Some(3.0), "HashMap source");
-    assert!(chain[0]["what"].as_str().expect("what").contains("HashMap"));
-    assert_eq!(chain[1]["line"].as_f64(), Some(7.0), "gather() in shape");
-    assert!(chain[1]["what"]
-        .as_str()
-        .expect("what")
-        .contains("returned through `gather`"),);
-    assert_eq!(chain[2]["line"].as_f64(), Some(11.0), "shape() in emit");
-    assert_eq!(chain[3]["line"].as_f64(), Some(10.0), "sink declaration");
-    assert!(chain[3]["what"]
-        .as_str()
-        .expect("what")
-        .contains("det-sink(test-out)"),);
+    let chain = arr(&flows[0]["chain"]);
+    let hops: Vec<(Option<f64>, &str)> = chain
+        .iter()
+        .map(|h| (h["line"].as_f64(), h["what"].as_str().unwrap_or("")))
+        .collect();
+    // HashMap source, gather() in shape, shape() in emit, sink declaration.
+    let want = [
+        (3.0, "HashMap"),
+        (7.0, "returned through `gather`"),
+        (11.0, ""),
+        (10.0, "det-sink(test-out)"),
+    ];
+    assert_eq!(hops.len(), want.len(), "{chain:?}");
+    for ((line, what), (want_line, want_what)) in hops.iter().zip(want) {
+        assert_eq!(*line, Some(want_line), "{chain:?}");
+        assert!(what.contains(want_what), "{chain:?}");
+    }
 
     // The annotation anchors ::error at the sink line and appends the
     // chain to the message so the hops survive into the CI log.
-    let out = run_lint(&root, &["--det-flow", "--annotations"]);
+    let out = run_lint(&root, &["--annotations"]);
     let text = String::from_utf8(out.stdout.clone()).expect("utf8 stdout");
     assert!(
         text.contains("::error file=crates/core/src/flow.rs,line=10,title=hcperf-lint det-flow::"),
@@ -560,19 +653,22 @@ fn binary_det_flow_sanitized_workspace_is_clean_and_update_writes_certs() {
     let root = mini_workspace(
         "detflow-sanitized",
         &[("crates/core/src/flow.rs", &sanitized)],
-        "# empty baseline\n",
+        "",
     );
-    let out = run_lint(&root, &["--det-flow", "--update-baseline"]);
-    assert_eq!(out.status.code(), Some(exit::CLEAN), "{out:?}");
-    let certs = fs::read_to_string(root.join("crates/lint/detflow_certificates.txt"))
-        .expect("rewritten certificates");
+    // The lexical HashMap findings still gate the run (section `source`);
+    // the det-flow section is what this fixture is about.
+    let out = lint(&root, &["--update-baselines", "--json"], exit::FINDINGS);
+    assert_eq!(
+        parse_json(&out)["det_flow"]["exit_code"].as_f64(),
+        code(exit::CLEAN)
+    );
+    let ratchet = fs::read_to_string(root.join("crates/lint/ratchet.txt")).expect("ratchet");
     assert!(
-        certs.contains("test-out\tclean\tcrates/core/src/flow.rs"),
-        "{certs}"
+        ratchet.contains("det-flow\ttest-out\tclean\tcrates/core/src/flow.rs"),
+        "{ratchet}"
     );
-    let out = run_lint(&root, &["--det-flow", "--json"]);
-    assert_eq!(out.status.code(), Some(exit::CLEAN), "{out:?}");
-    let doc = parse_json(&out);
+    let doc = parse_json(&run_lint(&root, &["--json"]));
+    assert_eq!(doc["det_flow"]["exit_code"].as_f64(), code(exit::CLEAN));
     assert_eq!(
         doc["det_flow"]["sinks"][0]["status"].as_str(),
         Some("clean")
@@ -580,15 +676,8 @@ fn binary_det_flow_sanitized_workspace_is_clean_and_update_writes_certs() {
     assert_eq!(doc["det_flow"]["flows"].as_f64(), Some(0.0));
 }
 
-#[test]
-fn binary_update_baselines_rejects_other_modes() {
-    let root = mini_workspace("baselines-usage", &[], "# empty baseline\n");
-    let out = run_lint(&root, &["--update-baselines", "--wcet"]);
-    assert_eq!(out.status.code(), Some(exit::USAGE), "{out:?}");
-}
-
 // ---------------------------------------------------------------------------
-// The real workspace: both modes must be clean (this is the CI gate).
+// The real workspace: every section must be clean (this is the CI gate).
 // ---------------------------------------------------------------------------
 
 fn real_root() -> PathBuf {
@@ -599,30 +688,47 @@ fn real_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// The one-pass `--json` report on the real workspace, run once.
+fn real_report() -> &'static serde_json::Value {
+    static REPORT: OnceLock<serde_json::Value> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let out = run_lint(&real_root(), &["--json"]);
+        let doc = parse_json(&out);
+        assert_eq!(
+            out.status.code(),
+            Some(exit::CLEAN),
+            "workspace must lint clean; section codes {:?}",
+            section_codes(&doc)
+        );
+        doc
+    })
+}
+
+/// A real-workspace section, asserted clean.
+fn real_section(name: &str) -> &'static serde_json::Value {
+    let section = &real_report()[name];
+    assert_eq!(
+        section["exit_code"].as_f64(),
+        code(exit::CLEAN),
+        "{name} must be clean: findings {:?}, ratchet {:?}",
+        section["findings"],
+        section["ratchet"]
+    );
+    section
+}
+
 #[test]
 fn real_workspace_source_lint_is_clean() {
-    let out = run_lint(&real_root(), &["--json"]);
-    let doc = parse_json(&out);
-    assert_eq!(
-        out.status.code(),
-        Some(exit::CLEAN),
-        "workspace must lint clean; findings: {:?}",
-        doc["findings"]
-    );
+    let source = real_section("source");
     // The four reviewed float sentinels stay waived, not silently dropped.
-    let waived = doc["waived"].as_array().expect("waived array");
+    let waived = arr(&source["waived"]);
     assert!(waived.len() >= 4, "{waived:?}");
 }
 
 #[test]
 fn real_workspace_schedulability_audit_is_clean() {
-    let out = Command::new(env!("CARGO_BIN_EXE_hcperf-lint"))
-        .args(["--schedulability", "--json"])
-        .output()
-        .expect("spawn hcperf-lint");
-    assert_eq!(out.status.code(), Some(exit::CLEAN), "{out:?}");
-    let doc = parse_json(&out);
-    let targets = doc["targets"].as_array().expect("targets array");
+    let sched = real_section("schedulability");
+    let targets = arr(&sched["targets"]);
     assert_eq!(targets.len(), 7, "two graphs + five scenario presets");
     for t in targets {
         assert_eq!(t["ok"].as_bool(), Some(true), "{t:?}");
@@ -631,7 +737,7 @@ fn real_workspace_schedulability_audit_is_clean() {
     // Schedulability findings share the source-finding shape: rule id,
     // severity, and the audited target as the finding's target key. On a
     // feasible workspace only informational transients may appear.
-    let findings = doc["findings"].as_array().expect("findings array");
+    let findings = arr(&sched["findings"]);
     let target_names: Vec<&str> = targets.iter().filter_map(|t| t["name"].as_str()).collect();
     for f in findings {
         assert_eq!(f["rule"].as_str(), Some("sched-eq9-transient"), "{f:?}");
@@ -641,80 +747,40 @@ fn real_workspace_schedulability_audit_is_clean() {
     }
 }
 
+// The golden pin (`tests/golden.rs`) holds the exact roots, certificates,
+// sinks and equation rows; these tests check each section's invariants.
+
 #[test]
 fn real_workspace_wcet_gives_every_root_a_bounded_certificate() {
-    let out = run_lint(&real_root(), &["--wcet", "--json"]);
-    let doc = parse_json(&out);
-    assert_eq!(
-        out.status.code(),
-        Some(exit::CLEAN),
-        "WCET gate must be clean; findings: {:?}, ratchet: {:?}",
-        doc["findings"],
-        doc["wcet"]["ratchet"]
-    );
-
+    let wcet = real_section("wcet");
     // Every declared hot-path root carries a bounded (non-saturated)
-    // polynomial certificate matching crates/lint/wcet_certificates.txt.
-    let certs = doc["wcet"]["certificates"]
-        .as_array()
-        .expect("certificates array");
-    for expected in [
-        "GammaScratch::rank",
-        "GammaScratch::feasible",
-        "DynamicPriorityScheduler::gamma_max_cached",
-        "gamma_max",
-        "FifoScheduler::select",
-        "Sim::try_dispatch",
-        "PerformanceDirectedController::step",
-    ] {
-        let row = certs
-            .iter()
-            .find(|c| c["root"].as_str() == Some(expected))
-            .unwrap_or_else(|| panic!("no certificate for {expected}: {certs:?}"));
-        let cost = row["cost"].as_str().expect("cost string");
-        assert!(cost.starts_with("O("), "{expected} unbounded: {row:?}");
+    // polynomial certificate.
+    let certs = arr(&wcet["certificates"]);
+    let roots = real_section("hot_path")["roots"].as_array().expect("roots");
+    assert_eq!(
+        certs.len(),
+        roots.len(),
+        "one certificate per root: {certs:?}"
+    );
+    assert_eq!(certs.len(), 7, "{certs:?}");
+    for c in certs {
+        let cost = c["cost"].as_str().expect("cost string");
+        assert!(cost.starts_with("O("), "unbounded: {c:?}");
     }
-    assert_eq!(certs.len(), 7, "exactly the declared roots: {certs:?}");
-    assert_eq!(doc["wcet"]["loops"]["unbounded"].as_f64(), Some(0.0));
+    assert_eq!(wcet["loops"]["unbounded"].as_f64(), Some(0.0));
 }
 
 #[test]
 fn real_workspace_hot_path_and_eq_coverage_are_clean() {
-    let out = run_lint(&real_root(), &["--hot-path", "--eq-coverage", "--json"]);
-    let doc = parse_json(&out);
-    assert_eq!(
-        out.status.code(),
-        Some(exit::CLEAN),
-        "analysis gate must be clean; findings: {:?}, ratchet: {:?}",
-        doc["findings"],
-        doc["hot_path"]["ratchet"]
-    );
-    assert_eq!(doc["mode"].as_str(), Some("hot-path+eq-coverage"));
-
-    // The declared roots from ISSUE/ARCHITECTURE are all present.
-    let roots: Vec<&str> = doc["hot_path"]["roots"]
-        .as_array()
-        .expect("roots array")
-        .iter()
-        .filter_map(|r| r.as_str())
-        .collect();
-    for expected in [
-        "GammaScratch::rank",
-        "GammaScratch::feasible",
-        "DynamicPriorityScheduler::gamma_max_cached",
-        "gamma_max",
-        "FifoScheduler::select",
-        "Sim::try_dispatch",
-        "PerformanceDirectedController::step",
-    ] {
-        assert!(
-            roots.contains(&expected),
-            "missing root {expected}: {roots:?}"
-        );
-    }
+    // The dispatch pipeline's seven roots are declared, and the
+    // over-approximate reachable set stays far from "everything".
+    let hot = real_section("hot_path");
+    assert_eq!(hot["roots"].as_array().map(Vec::len), Some(7), "{hot:?}");
+    let reachable = hot["reachable_fns"].as_f64().expect("reachable count");
+    assert!((7.0..400.0).contains(&reachable), "{reachable}");
 
     // Every required equation (Eq. 2-12) has at least one impl and one test.
-    let eqs = doc["eq_coverage"]["equations"]
+    let eqs = real_section("eq_coverage")["equations"]
         .as_array()
         .expect("equations array");
     for eq in 2..=12u32 {
@@ -728,48 +794,18 @@ fn real_workspace_hot_path_and_eq_coverage_are_clean() {
 
 #[test]
 fn real_workspace_det_flow_certifies_every_sink_clean() {
-    let out = run_lint(&real_root(), &["--det-flow", "--json"]);
-    let doc = parse_json(&out);
-    assert_eq!(
-        out.status.code(),
-        Some(exit::CLEAN),
-        "det-flow gate must be clean; findings: {:?}, ratchet: {:?}",
-        doc["findings"],
-        doc["det_flow"]["ratchet"]
-    );
-    assert_eq!(doc["schema_version"].as_f64(), Some(2.0));
-
+    let det = real_section("det_flow");
     // Every declared output sink is certified clean: no nondeterminism
     // source reaches result bytes, cache identities, or seed derivation.
-    let sinks = doc["det_flow"]["sinks"].as_array().expect("sinks array");
-    let names: Vec<&str> = sinks.iter().filter_map(|s| s["sink"].as_str()).collect();
-    for expected in [
-        "harness-jsonl",
-        "fleet-jsonl",
-        "seed-derivation",
-        "store-fingerprint",
-        "store-cell-id",
-        "store-append",
-        "cli-stdout",
-        "fig04-stdout",
-        "fig13-stdout",
-        "fig14-stdout",
-        "fig15-stdout",
-        "fig18-stdout",
-    ] {
-        assert!(
-            names.contains(&expected),
-            "missing sink {expected}: {names:?}"
-        );
-    }
-    assert_eq!(sinks.len(), 12, "exactly the declared sinks: {names:?}");
+    let sinks = arr(&det["sinks"]);
+    assert_eq!(sinks.len(), 12, "{sinks:?}");
     for s in sinks {
         assert_eq!(s["status"].as_str(), Some("clean"), "{s:?}");
     }
 
     // The reviewed waivers (wall_ms timing, env-selected worker count and
     // store path, membership-only HashSet) stay visible, not dropped.
-    let waived = doc["waived"].as_array().expect("waived array");
+    let waived = arr(&det["waived"]);
     assert!(waived.len() >= 5, "{waived:?}");
     for w in waived {
         assert!(

@@ -2,7 +2,7 @@
 //! section per analysis: the source rules, hot-path purity, Eq. coverage,
 //! WCET certificates, det-flow sinks and the schedulability audit.
 //!
-//! [`sections`] gathers each section's JSON; [`digest`] flattens the
+//! [`report`] runs the one `--json` pass; [`digest`] flattens the
 //! facts that matter into one line each (findings, waived sites, roots,
 //! reachable count, certificates, sinks, equation rows, audit targets)
 //! and the test compares that text with [`PINNED`]. A deliberate change
@@ -12,64 +12,14 @@ use std::process::Command;
 
 use serde_json::Value;
 
-/// One analysis section of the report: its JSON object plus its own
-/// unwaived and waived findings.
-struct Section {
-    doc: Value,
-    findings: Vec<Value>,
-    waived: Vec<Value>,
-}
-
-/// Every section, in report order.
-struct Sections {
-    source: Section,
-    hot_path: Section,
-    eq_coverage: Section,
-    wcet: Section,
-    det_flow: Section,
-    schedulability: Section,
-}
-
-fn run_json(args: &[&str]) -> Value {
+/// The one-pass `--json` report on the real workspace.
+fn report() -> Value {
     let out = Command::new(env!("CARGO_BIN_EXE_hcperf-lint"))
-        .args(args)
         .arg("--json")
         .output()
         .expect("spawn hcperf-lint");
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     serde_json::from_str(&String::from_utf8(out.stdout).expect("utf8")).expect("valid JSON")
-}
-
-/// Entries of `doc[key]` whose rule is one of `rules` (all when empty).
-fn with_rules(doc: &Value, key: &str, rules: &[&str]) -> Vec<Value> {
-    let all = doc[key].as_array().cloned().unwrap_or_default();
-    all.into_iter()
-        .filter(|f| rules.is_empty() || rules.contains(&f["rule"].as_str().unwrap_or("")))
-        .collect()
-}
-
-fn section(doc: &Value, part: &str, rules: &[&str]) -> Section {
-    Section {
-        doc: if part.is_empty() {
-            doc.clone()
-        } else {
-            doc[part].clone()
-        },
-        findings: with_rules(doc, "findings", rules),
-        waived: with_rules(doc, "waived", rules),
-    }
-}
-
-fn sections() -> Sections {
-    let hot_eq = run_json(&["--hot-path", "--eq-coverage"]);
-    Sections {
-        source: section(&run_json(&[]), "", &[]),
-        hot_path: section(&hot_eq, "hot_path", &["hot-path-alloc", "hot-path-panic"]),
-        eq_coverage: section(&hot_eq, "eq_coverage", &["eq-coverage"]),
-        wcet: section(&run_json(&["--wcet"]), "wcet", &[]),
-        det_flow: section(&run_json(&["--det-flow"]), "det_flow", &[]),
-        schedulability: section(&run_json(&["--schedulability"]), "", &[]),
-    }
 }
 
 fn s(v: &Value) -> String {
@@ -87,11 +37,16 @@ fn fields(v: &Value, keys: &[&str]) -> String {
     parts.join(" ")
 }
 
-fn findings(out: &mut Vec<String>, name: &str, section: &Section) {
-    for (key, list) in [("findings", &section.findings), ("waived", &section.waived)] {
-        for f in list {
+fn items(v: &Value) -> &[Value] {
+    v.as_array().map_or(&[], Vec::as_slice)
+}
+
+/// One line per finding and waived site, then the ratchet delta counts.
+fn findings(out: &mut Vec<String>, label: &str, section: &Value) {
+    for key in ["findings", "waived"] {
+        for f in items(&section[key]) {
             let mut line = format!(
-                "{name} {key} {} {}:{}",
+                "{label} {key} {} {}:{}",
                 s(&f["rule"]),
                 s(&f["path"]),
                 s(&f["line"])
@@ -99,96 +54,98 @@ fn findings(out: &mut Vec<String>, name: &str, section: &Section) {
             if let Some(reason) = f["waived"].as_str() {
                 line.push_str(&format!(" ({reason})"));
             }
-            for hop in f["chain"].as_array().into_iter().flatten() {
+            for hop in items(&f["chain"]) {
                 line.push_str(&format!(" -> {}:{}", s(&hop["path"]), s(&hop["line"])));
             }
             out.push(line);
         }
     }
-}
-
-fn ratchet(out: &mut Vec<String>, name: &str, section: &Section) {
-    let len = |k: &str| section.doc["ratchet"][k].as_array().map_or(0, Vec::len);
-    out.push(format!(
-        "{name} ratchet growth={} shrink={}",
-        len("growth"),
-        len("shrink")
-    ));
+    if !section["ratchet"].is_null() {
+        let len = |k: &str| items(&section["ratchet"][k]).len();
+        out.push(format!(
+            "{label} ratchet growth={} shrink={}",
+            len("growth"),
+            len("shrink")
+        ));
+    }
 }
 
 /// One line per pinned fact, section by section.
-fn digest(r: &Sections) -> String {
+fn digest(doc: &Value) -> String {
     let mut out = Vec::new();
-    findings(&mut out, "source", &r.source);
-    ratchet(&mut out, "source", &r.source);
+    let rows = |out: &mut Vec<String>, label: &str, list: &Value, keys: &[&str]| {
+        out.extend(
+            items(list)
+                .iter()
+                .map(|e| format!("{label} {}", fields(e, keys))),
+        );
+    };
+    findings(&mut out, "source", &doc["source"]);
 
-    let hot = &r.hot_path.doc;
-    for root in hot["roots"].as_array().expect("roots") {
-        out.push(format!("hot-path root {}", s(root)));
-    }
+    let hot = &doc["hot_path"];
+    out.extend(
+        items(&hot["roots"])
+            .iter()
+            .map(|r| format!("hot-path root {}", s(r))),
+    );
     out.push(format!("hot-path reachable {}", s(&hot["reachable_fns"])));
-    findings(&mut out, "hot-path", &r.hot_path);
-    ratchet(&mut out, "hot-path", &r.hot_path);
+    findings(&mut out, "hot-path", hot);
 
-    for e in r.eq_coverage.doc["equations"]
-        .as_array()
-        .expect("equations")
-    {
-        if (2..=12).contains(&e["eq"].as_u64().expect("eq number")) {
-            out.push(format!(
-                "eq {}",
-                fields(e, &["eq", "impl_sites", "test_sites", "ok"])
-            ));
-        }
-    }
-    findings(&mut out, "eq-coverage", &r.eq_coverage);
-
-    let wcet = &r.wcet.doc;
-    for c in wcet["certificates"].as_array().expect("certificates") {
-        out.push(format!(
-            "wcet cert {}",
-            fields(c, &["root", "cost", "path"])
-        ));
-    }
-    out.push(format!(
-        "wcet reachable={} {}",
-        s(&wcet["reachable_fns"]),
-        fields(
-            &wcet["loops"],
-            &["constant", "input_bounded", "waived", "unbounded"]
+    let eqs = &doc["eq_coverage"];
+    let required = items(&eqs["equations"])
+        .iter()
+        .filter(|e| (2..=12).contains(&e["eq"].as_u64().expect("eq number")));
+    out.extend(required.map(|e| {
+        format!(
+            "eq {}",
+            fields(e, &["eq", "impl_sites", "test_sites", "ok"])
         )
+    }));
+    findings(&mut out, "eq-coverage", eqs);
+
+    let wcet = &doc["wcet"];
+    rows(
+        &mut out,
+        "wcet cert",
+        &wcet["certificates"],
+        &["root", "cost", "path"],
+    );
+    let loops = fields(
+        &wcet["loops"],
+        &["constant", "input_bounded", "waived", "unbounded"],
+    );
+    out.push(format!(
+        "wcet reachable={} {loops}",
+        s(&wcet["reachable_fns"])
     ));
-    findings(&mut out, "wcet", &r.wcet);
-    ratchet(&mut out, "wcet", &r.wcet);
+    findings(&mut out, "wcet", wcet);
 
-    let det = &r.det_flow.doc;
-    for k in det["sinks"].as_array().expect("sinks") {
-        let keys = ["sink", "fn", "path", "line", "taints", "status"];
-        out.push(format!("det-flow sink {}", fields(k, &keys)));
-    }
+    let det = &doc["det_flow"];
+    let keys = ["sink", "fn", "path", "line", "taints", "status"];
+    rows(&mut out, "det-flow sink", &det["sinks"], &keys);
     out.push(format!("det-flow flows {}", s(&det["flows"])));
-    findings(&mut out, "det-flow", &r.det_flow);
-    ratchet(&mut out, "det-flow", &r.det_flow);
+    findings(&mut out, "det-flow", det);
 
-    let sched = &r.schedulability.doc;
-    for t in sched["targets"].as_array().expect("targets") {
-        let keys = [
-            "name",
-            "processors",
-            "tasks",
-            "eq9_worst_task",
-            "eq9_margin_ms",
-            "gamma_max",
-            "transient_min_margin_ms",
-            "transient_at_s",
-            "ok",
-        ];
-        out.push(format!("schedulability target {}", fields(t, &keys)));
-    }
-    for f in sched["findings"].as_array().expect("findings") {
-        let keys = ["rule", "severity", "target", "message"];
-        out.push(format!("schedulability finding {}", fields(f, &keys)));
-    }
+    let sched = &doc["schedulability"];
+    let keys = [
+        "name",
+        "processors",
+        "tasks",
+        "eq9_worst_task",
+        "eq9_margin_ms",
+        "gamma_max",
+        "transient_min_margin_ms",
+        "transient_at_s",
+        "ok",
+    ];
+    rows(&mut out, "schedulability target", &sched["targets"], &keys);
+    let keys = ["rule", "severity", "target", "message"];
+    rows(
+        &mut out,
+        "schedulability finding",
+        &sched["findings"],
+        &keys,
+    );
     out.join("\n") + "\n"
 }
 
@@ -258,7 +215,7 @@ schedulability finding rule=sched-eq9-transient severity=info target=scenario::t
 
 #[test]
 fn one_report_reproduces_every_pinned_section() {
-    let got = digest(&sections());
+    let got = digest(&report());
     let missing: Vec<&str> = PINNED
         .lines()
         .filter(|p| !got.lines().any(|l| l == *p))
