@@ -251,9 +251,9 @@ fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     let seed = args.get_u64("seed", 42)?;
     // 0 = the host's available parallelism (the harness default).
     let jobs = args.get_usize("jobs", 0)?;
-    if !(from > 0.0 && to >= from && step > 0.0) {
+    if !(from > 0.0 && to >= from && to.is_finite() && step > 0.0) {
         return Err(CliError::Args(ParseError(
-            "sweep needs 0 < --from <= --to and --step > 0".into(),
+            "sweep needs 0 < --from <= --to < inf and --step > 0".into(),
         )));
     }
     let mut rates = Vec::new();
@@ -752,11 +752,8 @@ fn cmd_trace(args: &Args) -> Result<String, CliError> {
     let rate = args.get_f64("rate", 20.0)?;
     let seed = args.get_u64("seed", 42)?;
     let format = args.get("format").unwrap_or("gantt");
-    if duration <= 0.0 || rate <= 0.0 {
-        return Err(CliError::Args(ParseError(
-            "--duration and --rate must be positive".into(),
-        )));
-    }
+    hcperf_scenarios::check_positive("duration", duration)?;
+    hcperf_scenarios::check_positive("rate", rate)?;
     let graph = apollo_graph(&GraphOptions {
         with_affinity: scheme.uses_affinity(),
         ..Default::default()

@@ -43,6 +43,8 @@ fn bad_durations_exit_nonzero_without_hanging() {
         &["run", "--scenario", "car-following"][..],
         &["run", "--scenario", "lane-keeping"],
         &["fleet", "--vehicles", "4"],
+        &["trace"],
+        &["sweep", "--from", "10", "--to", "10"],
     ] {
         for duration in ["nan", "inf", "-inf", "0", "-1"] {
             let mut args = command.to_vec();

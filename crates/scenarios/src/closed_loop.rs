@@ -89,8 +89,12 @@ fn lookup<S: Copy>(history: &[(f64, S)], t: f64) -> Option<(f64, S)> {
     history.get(after.saturating_sub(1)).copied()
 }
 
-/// Rejects a horizon or step that is non-finite or not positive.
-pub(crate) fn check_positive(name: &'static str, value: f64) -> Result<(), ScenarioError> {
+/// Rejects a horizon, step or rate that is non-finite or not positive.
+///
+/// # Errors
+///
+/// [`ScenarioError::InvalidParameter`] naming `name`.
+pub fn check_positive(name: &'static str, value: f64) -> Result<(), ScenarioError> {
     if value.is_finite() && value > 0.0 {
         return Ok(());
     }

@@ -49,10 +49,11 @@ pub use car_following::{
     run_car_following, run_car_following_with_telemetry, CarFollowingConfig, CarFollowingResult,
     DegradedTelemetry, ScenarioError,
 };
+pub use closed_loop::check_positive;
 pub use fleet::{run_fleet, FleetAggregate, FleetConfig, FleetPreset, FleetSummary, VehicleRecord};
 pub use lane_keeping::{run_lane_keeping, LaneKeepingConfig, LaneKeepingResult};
 pub use metrics::TimeSeries;
 pub use motivation::{run_motivation, MotivationConfig, MotivationResult};
 pub use robustness::{traction_loss_comparison, RecoveryRow, TractionLossConfig};
-pub use sweep::{knee, rate_sweep, rate_sweep_parallel, SweepConfig, SweepPoint};
+pub use sweep::{knee, rate_sweep_parallel, SweepConfig, SweepPoint};
 pub use traffic_jam::{analyze_responsiveness, traffic_jam_config, ResponsivenessReport};

@@ -6,10 +6,9 @@
 //! the curve — useful both for validating that premise and for choosing
 //! baseline rates in experiments.
 //!
-//! Each probed rate is an independent deterministic simulation, so the
-//! sweep also comes in a parallel flavour ([`rate_sweep_parallel`])
-//! built on [`hcperf_harness`]: bit-identical to the sequential path
-//! for any worker count.
+//! Each probed rate is an independent deterministic simulation, fanned
+//! out over [`hcperf_harness`] ([`rate_sweep_parallel`]): the curve is
+//! bit-identical for any worker count.
 
 use hcperf::{DpsConfig, Scheme};
 use hcperf_harness::{run_batch, BatchOptions, Job, ResultCache};
@@ -18,6 +17,7 @@ use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
 use hcperf_taskgraph::{LoadProfile, Rate, SimTime, TaskGraph};
 
 use crate::car_following::ScenarioError;
+use crate::closed_loop::check_positive;
 
 /// One sweep sample.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -67,9 +67,8 @@ impl Default for SweepConfig {
     }
 }
 
-/// Simulates one probed rate. Every sweep point — sequential or
-/// parallel — goes through this single function, which is what makes
-/// the two paths bit-identical.
+/// Simulates one probed rate; every sweep point goes through this single
+/// function.
 fn sweep_point(
     graph: &TaskGraph,
     config: &SweepConfig,
@@ -109,32 +108,20 @@ fn sweep_graph(config: &SweepConfig) -> Result<TaskGraph, ScenarioError> {
 }
 
 /// Sweeps pipeline rates over the Fig. 11 graph and returns the
-/// miss/throughput curve.
-///
-/// # Errors
-///
-/// Returns [`ScenarioError`] on graph or simulator construction failure.
-pub fn rate_sweep(config: &SweepConfig) -> Result<Vec<SweepPoint>, ScenarioError> {
-    let graph = sweep_graph(config)?;
-    config
-        .rates_hz
-        .iter()
-        .map(|&rate_hz| sweep_point(&graph, config, rate_hz))
-        .collect()
-}
-
-/// [`rate_sweep`] with the probed rates fanned out over a
+/// miss/throughput curve, with the probed rates fanned out over a
 /// [`hcperf_harness`] worker pool.
 ///
 /// `workers = 0` uses the host's available parallelism. The returned
-/// curve is bit-identical to the sequential [`rate_sweep`] for any
-/// worker count: every point runs the same simulation with the same
-/// `config.seed`, and the harness reports results in submission order.
+/// curve is bit-identical for any worker count: every point runs the same
+/// simulation with the same `config.seed`, and the harness reports
+/// results in submission order.
 ///
 /// # Errors
 ///
-/// Returns [`ScenarioError`] on graph or simulator construction
-/// failure, or [`ScenarioError::Job`] if a point's simulation panicked.
+/// [`ScenarioError::InvalidParameter`] for a non-finite or non-positive
+/// duration or rate, before any point runs; [`ScenarioError`] on graph or
+/// simulator construction failure; [`ScenarioError::Job`] if a point's
+/// simulation panicked.
 pub fn rate_sweep_parallel(
     config: &SweepConfig,
     workers: usize,
@@ -154,13 +141,17 @@ pub fn rate_sweep_parallel_cached(
     workers: usize,
     cache: Option<&mut dyn ResultCache<Result<SweepPoint, ScenarioError>>>,
 ) -> Result<Vec<SweepPoint>, ScenarioError> {
+    check_positive("duration", config.duration)?;
+    for &rate in &config.rates_hz {
+        check_positive("rate_hz", rate)?;
+    }
     let graph = sweep_graph(config)?;
     let jobs: Vec<Job<f64>> = config
         .rates_hz
         .iter()
         .enumerate()
-        // The sequential path runs every rate with the same config.seed;
-        // pin that seed so the parallel path replays it exactly.
+        // Every rate runs with the same config.seed, whichever worker
+        // picks it up.
         .map(|(i, &rate_hz)| Job::with_seed(format!("rate[{i}]={rate_hz}"), rate_hz, config.seed))
         .collect();
     let mut opts = BatchOptions::with_workers(workers);
@@ -192,13 +183,13 @@ mod tests {
     use super::*;
 
     fn sweep(scheme: Scheme) -> Vec<SweepPoint> {
-        rate_sweep(&SweepConfig {
+        let config = SweepConfig {
             scheme,
             rates_hz: vec![10.0, 20.0, 30.0, 40.0],
             duration: 4.0,
             ..Default::default()
-        })
-        .unwrap()
+        };
+        rate_sweep_parallel(&config, 1).unwrap()
     }
 
     #[test]
@@ -232,12 +223,12 @@ mod tests {
 
     #[test]
     fn knee_returns_none_for_easy_sweeps() {
-        let points = rate_sweep(&SweepConfig {
+        let config = SweepConfig {
             rates_hz: vec![5.0, 10.0],
             duration: 3.0,
             ..Default::default()
-        })
-        .unwrap();
+        };
+        let points = rate_sweep_parallel(&config, 1).unwrap();
         assert_eq!(knee(&points, 0.5), None);
     }
 
@@ -260,8 +251,8 @@ mod tests {
             duration: 2.0,
             ..Default::default()
         };
-        let sequential = rate_sweep(&config).unwrap();
-        for workers in [1, 3] {
+        let sequential = rate_sweep_parallel(&config, 1).unwrap();
+        for workers in [2, 3] {
             assert_eq!(rate_sweep_parallel(&config, workers).unwrap(), sequential);
         }
     }

@@ -4,8 +4,8 @@
 use hcperf::Scheme;
 use hcperf_scenarios::fleet::{run_fleet, FleetConfig, FleetPreset};
 use hcperf_scenarios::{
-    run_car_following, run_lane_keeping, run_motivation, CarFollowingConfig, LaneKeepingConfig,
-    MotivationConfig, ScenarioError,
+    check_positive, rate_sweep_parallel, run_car_following, run_lane_keeping, run_motivation,
+    CarFollowingConfig, LaneKeepingConfig, MotivationConfig, ScenarioError, SweepConfig,
 };
 
 const BAD: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0];
@@ -44,6 +44,20 @@ fn bad_durations_and_steps_are_rejected_by_every_run() {
             ..Default::default()
         };
         assert_invalid(run_motivation(&mv), "physics_dt");
+
+        let sweep = SweepConfig {
+            duration: bad,
+            ..Default::default()
+        };
+        assert_invalid(rate_sweep_parallel(&sweep, 1), "duration");
+        let sweep = SweepConfig {
+            rates_hz: vec![10.0, bad],
+            ..Default::default()
+        };
+        assert_invalid(rate_sweep_parallel(&sweep, 1), "rate_hz");
+        // The check `hcperf trace` runs before handing its horizon to the
+        // simulator.
+        assert_invalid(check_positive("duration", bad), "duration");
     }
 }
 

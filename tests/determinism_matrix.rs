@@ -11,15 +11,55 @@
 use std::io::{self, Write};
 
 use hcperf_bench::experiments::{fig04_motivation, fig15_hardware};
-use hcperf_suite::core::Scheme;
+use hcperf_suite::core::{DpsConfig, Scheme};
+use hcperf_suite::rtsim::{JoinPolicy, Sim, SimConfig};
 use hcperf_suite::scenarios::fleet::{
     run_fleet, run_fleet_with_cache, FleetConfig, FleetPreset, VehicleRecord,
 };
-use hcperf_suite::scenarios::sweep::{rate_sweep, rate_sweep_parallel, SweepConfig};
+use hcperf_suite::scenarios::sweep::{rate_sweep_parallel, SweepConfig, SweepPoint};
 use hcperf_suite::scenarios::ScenarioError;
 use hcperf_suite::store::{fingerprint, CellCache, Store};
+use hcperf_suite::taskgraph::graphs::{apollo_graph, GraphOptions};
+use hcperf_suite::taskgraph::{Rate, SimTime};
 
 const WORKER_MATRIX: [usize; 3] = [1, 2, 8];
+
+/// The sweep oracle: each probed rate simulated in a plain loop, with no
+/// harness in between.
+fn sequential_sweep(config: &SweepConfig) -> Vec<SweepPoint> {
+    let graph = apollo_graph(&GraphOptions {
+        jitter_frac: config.jitter_frac,
+        with_affinity: config.scheme.uses_affinity(),
+        processors: config.processors,
+    })
+    .unwrap();
+    let sim_config = SimConfig {
+        processors: config.processors,
+        seed: config.seed,
+        load: config.load.clone(),
+        join_policy: JoinPolicy::SameCycle,
+        expire_queued_jobs: false,
+        ..Default::default()
+    };
+    let mut points = Vec::new();
+    for &rate_hz in &config.rates_hz {
+        let scheduler = config.scheme.build(DpsConfig::default());
+        let mut sim = Sim::new(graph.clone(), sim_config.clone(), scheduler).unwrap();
+        let sources: Vec<_> = sim.source_rates().iter().map(|&(t, _)| t).collect();
+        for s in sources {
+            sim.set_source_rate(s, Rate::from_hz(rate_hz)).unwrap();
+        }
+        sim.run_until(SimTime::from_secs(config.duration));
+        let stats = sim.stats();
+        points.push(SweepPoint {
+            rate_hz,
+            miss_ratio: stats.totals().miss_ratio(),
+            commands_per_sec: stats.commands_emitted() as f64 / config.duration,
+            mean_e2e_ms: stats.mean_end_to_end().map(|d| d.as_millis()),
+        });
+    }
+    points
+}
 
 #[test]
 fn rate_sweep_is_bit_identical_across_worker_counts() {
@@ -28,7 +68,7 @@ fn rate_sweep_is_bit_identical_across_worker_counts() {
         duration: 2.0,
         ..Default::default()
     };
-    let sequential = rate_sweep(&config).unwrap();
+    let sequential = sequential_sweep(&config);
     for workers in WORKER_MATRIX {
         let parallel = rate_sweep_parallel(&config, workers).unwrap();
         assert_eq!(parallel, sequential, "workers={workers}");
