@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use crate::ratchet::{Comparison, Delta};
+use crate::ratchet::{Comparison, Delta, Value};
 use crate::workspace::SourceFile;
 
 /// Version stamp carried by the `--json` report. Bump when a
@@ -369,9 +369,7 @@ impl Section {
             out.push_str(&f.render());
             out.push('\n');
         }
-        let show = |v: Option<crate::ratchet::Value>, none: &str| {
-            v.map_or_else(|| none.to_owned(), crate::ratchet::Value::render)
-        };
+        let show = |v: Option<Value>, none: &str| v.map_or_else(|| none.to_owned(), Value::render);
         for d in self.ratchet.iter().flat_map(|r| &r.growth) {
             out.push_str(&format!(
                 "{}: [{} {}] {} grew past the ratchet ({})\n",
@@ -427,8 +425,7 @@ impl Section {
 }
 
 fn delta_json(d: &Delta) -> String {
-    let value =
-        |v: Option<crate::ratchet::Value>| v.map_or_else(|| "null".to_owned(), |v| v.json());
+    let value = |v: Option<Value>| v.map_or_else(|| "null".to_owned(), Value::json);
     format!(
         "{{\"name\":\"{}\",\"path\":\"{}\",\"baseline\":{},\"current\":{}}}",
         json_escape(d.name()),
