@@ -25,7 +25,7 @@ OPTIONS:
     --update-baselines  rewrite crates/lint/ratchet.txt from this run
 
 EXIT CODES (the first that any section reports, in this order):
-    3 infeasible target   1 findings   2 ratchet growth   0 clean
+    3 schedulability failure   1 findings   2 ratchet growth   0 clean
     4 usage (bad arguments, unreadable workspace or ratchet file)
 ";
 

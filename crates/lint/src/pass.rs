@@ -105,7 +105,7 @@ impl Report {
             exit::CLEAN => "clean",
             exit::FINDINGS => "FINDINGS",
             exit::RATCHET => "RATCHET GROWTH",
-            _ => "INFEASIBLE TARGET",
+            _ => "SCHEDULABILITY FAILED",
         };
         out.push_str(&format!(
             "hcperf-lint: {} files, {verdict} (exit {code})\n",

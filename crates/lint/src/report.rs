@@ -28,7 +28,7 @@ pub mod exit {
 
     /// The process exit code over per-section codes: the first of
     /// [`SCHEDULABILITY`], [`FINDINGS`], [`RATCHET`] any section reports,
-    /// else [`CLEAN`]. An infeasible target invalidates the paper's timing
+    /// else [`CLEAN`]. A failed audit invalidates the paper's timing
     /// claim whatever else holds; a ratchet row can be re-recorded
     /// deliberately, so growth ranks last.
     #[must_use]

@@ -221,16 +221,14 @@ impl<'a> Scope<'a> {
             rule,
             path: rel.to_owned(),
             line,
-            snippet: self.file(rel).map(|f| f.snippet(line)).unwrap_or_default(),
+            snippet: self
+                .by_rel
+                .get(rel)
+                .map(|f| f.snippet(line))
+                .unwrap_or_default(),
             message,
             waived: None,
             chain: Vec::new(),
         }
-    }
-
-    /// The loaded file at workspace-relative `rel`, if in scope.
-    #[must_use]
-    pub fn file(&self, rel: &str) -> Option<&'a SourceFile> {
-        self.by_rel.get(rel).copied()
     }
 }
