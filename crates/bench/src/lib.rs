@@ -1,4 +1,4 @@
-//! Benchmark harness regenerating every table and figure of the HCPerf
+//! Experiment binaries regenerating every table and figure of the HCPerf
 //! paper's evaluation (§ II motivation and § VII).
 //!
 //! One binary per experiment:
@@ -14,12 +14,12 @@
 //! | `fig17_responsiveness` | Fig. 16/17 — responsiveness vs throughput |
 //! | `fig18_ablation` | Fig. 18 — external-coordinator ablation |
 //! | `all_experiments` | everything above, in order |
-//! | `bench_harness` | worker-pool wall-clock + bit-identity check → `BENCH_harness.json` |
-//! | `bench_store` | store append overhead + cache-hit speedup → `BENCH_store.json` |
 //!
-//! Criterion benches (`cargo bench -p hcperf-bench`) cover the § VII-E
-//! overhead analysis plus the γ-search, scheduler-decision, ADE-window and
-//! engine-throughput micro-benchmarks.
+//! Performance numbers do not come from this crate: the `perfbench`
+//! package at the repository root measures every end-to-end and
+//! per-layer figure (its `paper-suite` workload times the functions in
+//! [`experiments`]). Nothing here reads a clock (`hcperf-lint` enforces
+//! it), so each figure's stdout depends only on the code and its seeds.
 //!
 //! Time-series CSVs land in `target/experiments/`.
 

@@ -340,9 +340,10 @@ fn render_run_summary(summary: RunSummary) -> String {
 fn cmd_analyze(args: &Args) -> Result<String, CliError> {
     let rate = args.get_f64("rate", 20.0)?;
     let processors = args.get_usize("processors", 4)?;
-    if rate <= 0.0 || processors == 0 {
+    hcperf_scenarios::check_positive("rate", rate)?;
+    if processors == 0 {
         return Err(CliError::Args(ParseError(
-            "--rate must be positive and --processors at least 1".into(),
+            "--processors must be at least 1".into(),
         )));
     }
     let graph = apollo_graph(&GraphOptions {

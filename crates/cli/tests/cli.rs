@@ -1,5 +1,6 @@
-//! End-to-end checks of the `hcperf` binary: subcommand help and the
-//! duration floor every run-type command inherits from the library.
+//! End-to-end checks of the `hcperf` binary: subcommand help, the
+//! duration and rate floors every run-type command inherits from the
+//! library, and fault plans the library rejects.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -56,4 +57,37 @@ fn bad_durations_exit_nonzero_without_hanging() {
             assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
         }
     }
+}
+
+#[test]
+fn bad_rates_exit_nonzero_without_panicking() {
+    for command in ["analyze", "trace"] {
+        for rate in ["nan", "inf", "-inf", "0", "-1"] {
+            let args = [command, "--rate", rate];
+            let out = hcperf(&args, Duration::from_secs(60));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains("invalid rate"), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        }
+    }
+}
+
+#[test]
+fn fault_plan_ending_past_finite_time_exits_nonzero_without_panicking() {
+    let plan = std::env::temp_dir().join(format!("hcperf-cli-big-{}.json", std::process::id()));
+    std::fs::write(
+        &plan,
+        r#"{"name":"big","faults":[{"kind":"processor-stall","processor":0,"probability":1,"window":[1e308,1e308],"duration":1e308}]}"#,
+    )
+    .expect("write fault plan");
+    let plan_arg = plan.to_str().expect("utf-8 temp path");
+    let mut args = vec!["fleet", "--vehicles", "2", "--duration", "1"];
+    args.extend(["--faults", plan_arg]);
+    let out = hcperf(&args, Duration::from_secs(60));
+    let _ = std::fs::remove_file(&plan);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("invalid fault spec"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

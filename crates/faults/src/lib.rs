@@ -429,6 +429,11 @@ impl FaultPlan {
             if !spec.duration.is_finite() {
                 return Err(FaultPlanError::Invalid("duration must be finite"));
             }
+            if !(hi + spec.duration.max(0.0)).is_finite() {
+                return Err(FaultPlanError::Invalid(
+                    "onset window plus duration must end at a finite time",
+                ));
+            }
             let key = format!("faults/{}/vehicle={vehicle}/event={j}", self.name);
             let mut state = derive_seed(vehicle_seed, &key);
             let occurs = u01(splitmix64(&mut state)) < spec.probability;
@@ -716,6 +721,25 @@ mod tests {
         };
         let err = plan.materialize(&graph(), 0, 0).unwrap_err();
         assert_eq!(err, FaultPlanError::UnknownTask("not_a_task".to_string()));
+    }
+
+    #[test]
+    fn window_end_overflow_is_invalid_for_every_vehicle() {
+        let plan = FaultPlan {
+            name: "big".to_string(),
+            faults: vec![FaultSpec {
+                kind: FaultKind::ProcessorStall { processor: 0 },
+                probability: 0.0,
+                window: (1e308, 1e308),
+                duration: 1e308,
+            }],
+        };
+        // Probability 0 never draws the fault, yet the plan is rejected:
+        // validation runs before any draw.
+        for vehicle in 0..4 {
+            let err = plan.materialize(&graph(), vehicle, 7).unwrap_err();
+            assert!(matches!(err, FaultPlanError::Invalid(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //!   and [`BatchOptions::queue_capacity`] bounds the result queue so a
 //!   slow sink back-pressures the workers — the fleet-scale mode;
 //! * [`JsonlSink`]/[`RecordSink`] — streaming JSON-Lines output fed in
-//!   submission order, plus a [`Progress`] callback fed in completion
-//!   order;
+//!   submission order;
 //! * [`ResultCache`] — an optional cache probed per job key before
 //!   anything runs ([`BatchOptions::cached`]): because every job is a
 //!   pure function of `(input, seed)` and its seed a pure function of
@@ -30,16 +29,21 @@
 //!   bit-identically instead of recomputed. The durable implementation
 //!   is `hcperf-store`.
 //!
+//! The crate measures nothing itself: the only clock it reads times each
+//! job for [`JobResult::wall`]. Throughput and per-layer figures come
+//! from the `perfbench` package at the repository root.
+//!
 //! The crate is std-only by design (see the workspace's vendored-only
 //! dependency policy): payload serialization is delegated to callers.
 //!
 //! # Examples
 //!
 //! ```
-//! use hcperf_harness::{run_batch_with, Job};
+//! use hcperf_harness::{run_batch, BatchOptions, Job};
 //!
 //! let jobs: Vec<Job<u64>> = (0..16).map(|i| Job::new(format!("cell/{i}"), i)).collect();
-//! let results = run_batch_with(&jobs, 4, |&input, seed| input.wrapping_mul(seed)).unwrap();
+//! let opts = BatchOptions::with_workers(4);
+//! let results = run_batch(&jobs, opts, |&input, seed| input.wrapping_mul(seed)).unwrap();
 //! assert_eq!(results.len(), 16);
 //! assert!(results.iter().enumerate().all(|(i, r)| r.index == i));
 //! ```
@@ -51,9 +55,6 @@ pub mod seed;
 pub mod sink;
 
 pub use cache::ResultCache;
-pub use job::{Job, JobResult, JobStatus, Progress};
-pub use pool::{
-    available_workers, run_batch, run_batch_streaming, run_batch_with, BatchError, BatchOptions,
-    HarnessError, StreamSummary,
-};
+pub use job::{Job, JobResult, JobStatus};
+pub use pool::{run_batch, run_batch_streaming, BatchOptions, HarnessError, StreamSummary};
 pub use sink::{json_escape, JsonlSink, RecordSink};

@@ -1,13 +1,11 @@
 //! Pool-level integration tests: determinism across worker counts,
-//! panic isolation, ordered streaming, progress accounting.
+//! panic isolation, ordered streaming, caching and retries.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use hcperf_harness::seed::{derive_seed, splitmix64};
 use hcperf_harness::{
-    run_batch, run_batch_streaming, run_batch_with, BatchError, BatchOptions, HarnessError, Job,
-    JobStatus, JsonlSink, Progress,
+    run_batch, run_batch_streaming, BatchOptions, HarnessError, Job, JobStatus, JsonlSink,
 };
 
 /// A deterministic, seed-driven stand-in for a simulation: a short
@@ -28,9 +26,9 @@ fn batch(n: u64) -> Vec<Job<u64>> {
 #[test]
 fn results_are_bit_identical_for_any_worker_count() {
     let jobs = batch(33);
-    let reference = run_batch_with(&jobs, 1, fake_sim).unwrap();
+    let reference = run_batch(&jobs, BatchOptions::with_workers(1), fake_sim).unwrap();
     for workers in [2, 3, 8, 16] {
-        let got = run_batch_with(&jobs, workers, fake_sim).unwrap();
+        let got = run_batch(&jobs, BatchOptions::with_workers(workers), fake_sim).unwrap();
         assert_eq!(got.len(), reference.len());
         for (r, g) in reference.iter().zip(&got) {
             assert_eq!((r.index, &r.key, r.seed), (g.index, &g.key, g.seed));
@@ -60,7 +58,7 @@ fn explicit_seeds_override_derivation() {
         Job::with_seed("b", 2u64, 7),
         Job::new("c", 3u64),
     ];
-    let results = run_batch_with(&jobs, 2, fake_sim).unwrap();
+    let results = run_batch(&jobs, BatchOptions::with_workers(2), fake_sim).unwrap();
     assert_eq!(results[0].seed, 7);
     assert_eq!(results[1].seed, 7);
     assert_ne!(results[2].seed, 7);
@@ -72,7 +70,7 @@ fn panicking_job_yields_failure_record_and_siblings_complete() {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let jobs = batch(12);
-    let results = run_batch_with(&jobs, 3, |&input, seed| {
+    let results = run_batch(&jobs, BatchOptions::with_workers(3), |&input, seed| {
         assert!(input != 5, "job five exploded");
         fake_sim(&input, seed)
     })
@@ -97,14 +95,16 @@ fn panicking_job_yields_failure_record_and_siblings_complete() {
 #[test]
 fn duplicate_keys_are_rejected_up_front() {
     let jobs = vec![Job::new("same", 1u64), Job::new("same", 2u64)];
-    let err = run_batch_with(&jobs, 2, fake_sim).unwrap_err();
-    assert_eq!(err, BatchError::DuplicateKey("same".into()));
+    let err = run_batch(&jobs, BatchOptions::with_workers(2), fake_sim).unwrap_err();
+    assert_eq!(err, HarnessError::DuplicateKey("same".into()));
 }
 
 #[test]
 fn empty_batch_is_fine() {
     let jobs: Vec<Job<u64>> = Vec::new();
-    assert!(run_batch_with(&jobs, 4, fake_sim).unwrap().is_empty());
+    assert!(run_batch(&jobs, BatchOptions::with_workers(4), fake_sim)
+        .unwrap()
+        .is_empty());
 }
 
 #[test]
@@ -126,22 +126,6 @@ fn sink_receives_submission_order_and_identical_bytes_for_any_worker_count() {
     for workers in [2, 8] {
         assert_eq!(stream(workers), reference, "workers={workers}");
     }
-}
-
-#[test]
-fn progress_counts_every_completion() {
-    let jobs = batch(10);
-    let seen = Mutex::new(Vec::<Progress>::new());
-    let mut on_progress = |p: Progress| seen.lock().unwrap().push(p);
-    let opts = BatchOptions::<u64>::with_workers(4).on_progress(&mut on_progress);
-    run_batch(&jobs, opts, fake_sim).unwrap();
-    let seen = seen.into_inner().unwrap();
-    assert_eq!(seen.len(), 10);
-    assert!(seen.iter().enumerate().all(|(i, p)| p.completed == i + 1));
-    assert!(seen.iter().all(|p| p.total == 10 && p.index < 10));
-    let mut indices: Vec<usize> = seen.iter().map(|p| p.index).collect();
-    indices.sort_unstable();
-    assert_eq!(indices, (0..10).collect::<Vec<_>>());
 }
 
 #[test]
@@ -216,7 +200,7 @@ fn streaming_counts_panicked_jobs() {
 fn zero_workers_means_available_parallelism() {
     let jobs = batch(4);
     let touched = AtomicUsize::new(0);
-    let results = run_batch_with(&jobs, 0, |&input, seed| {
+    let results = run_batch(&jobs, BatchOptions::with_workers(0), |&input, seed| {
         touched.fetch_add(1, Ordering::Relaxed);
         fake_sim(&input, seed)
     })

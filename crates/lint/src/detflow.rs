@@ -103,12 +103,6 @@ const SANITIZERS: &[&str] = &[
     ".sort_by_cached_key(",
 ];
 
-/// `crates/bench` exists to measure wall time (same exemption the lexical
-/// wall-clock rule grants it); every *other* taint kind still applies.
-fn source_exempt(rel: &str, kind: TaintKind) -> bool {
-    kind == TaintKind::WallClock && rel.starts_with("crates/bench/")
-}
-
 /// Identity of a taint element: the source site that created it.
 type Key = (String, usize, &'static str);
 
@@ -247,19 +241,16 @@ pub fn analyze(scope: &Scope<'_>) -> DetFlow {
         }
         for (k, at) in sources.find(&src.masked.masked, body) {
             let (pat, kind) = SOURCES[k];
-            if !source_exempt(&node.path, kind) {
-                let line = src.masked.lines.line_of(at);
-                match src.masked.waiver(Rule::DetFlow, line) {
-                    Some(reason) => {
-                        let what = format!(
-                            "nondeterminism source `{pat}` ({}) waived at the site",
-                            kind.describe()
-                        );
-                        waived
-                            .push(Finding::at(Rule::DetFlow, src, line, what).waived(Some(reason)));
-                    }
-                    None => evs.push((at, Ev::Source { line, pat, kind })),
+            let line = src.masked.lines.line_of(at);
+            match src.masked.waiver(Rule::DetFlow, line) {
+                Some(reason) => {
+                    let what = format!(
+                        "nondeterminism source `{pat}` ({}) waived at the site",
+                        kind.describe()
+                    );
+                    waived.push(Finding::at(Rule::DetFlow, src, line, what).waived(Some(reason)));
                 }
+                None => evs.push((at, Ev::Source { line, pat, kind })),
             }
         }
         for (_, at) in sanitizers.find(&src.masked.masked, body) {
@@ -527,12 +518,7 @@ mod tests {
     use crate::workspace::SourceFile;
 
     fn analyze_src(rel: &str, raw: &str) -> DetFlow {
-        let tree = if rel.starts_with("crates/bench/") {
-            "crates/bench/src"
-        } else {
-            "crates/core/src"
-        };
-        let file = SourceFile::new(rel, tree, raw.to_owned());
+        let file = SourceFile::new(rel, "crates/core/src", raw.to_owned());
         analyze(&Scope::new([&file]))
     }
 
@@ -752,7 +738,7 @@ fn b() {}
     }
 
     #[test]
-    fn wall_clock_sources_are_exempt_in_bench_only() {
+    fn wall_clock_sources_taint_sinks_in_bench_too() {
         let body = "\
 // hcperf-lint: det-sink(out)
 fn emit() {
@@ -760,9 +746,8 @@ fn emit() {
     drop(t);
 }
 ";
-        let a = analyze_src("crates/bench/src/lib.rs", body);
-        assert_eq!(a.sinks[0].taints(), 0, "{:?}", a.sinks);
-        let a = analyze_src("crates/core/src/lib.rs", body);
+        let file = SourceFile::new("crates/bench/src/lib.rs", "crates/bench/src", body.into());
+        let a = analyze(&Scope::new([&file]));
         assert_eq!(a.sinks[0].taints(), 1, "{:?}", a.sinks);
     }
 }

@@ -44,7 +44,7 @@ pub mod exit {
 /// The rules every analysis reports findings under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// `Instant` / `SystemTime` / `thread::sleep` outside `harness`/`bench`.
+    /// `Instant` / `SystemTime` / `thread::sleep` outside `harness`/`store`.
     WallClock,
     /// `HashMap` / `HashSet` in deterministic crates: per-process order.
     UnorderedIteration,

@@ -26,7 +26,7 @@ impl RuleSet {
         unwrap_ratchet: true,
     };
     /// Wall-clock only (crates that orchestrate but must not time things
-    /// themselves: `cli`, `lint`, the umbrella `src/`).
+    /// themselves: `cli`, `lint`, `bench`, the umbrella `src/`).
     pub const WALL_CLOCK_ONLY: RuleSet = RuleSet {
         wall_clock: true,
         determinism: false,

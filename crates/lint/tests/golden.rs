@@ -199,9 +199,9 @@ det-flow sink sink=store-fingerprint fn=fingerprint path=crates/store/src/hash.r
 det-flow flows 0
 det-flow waived det-flow crates/bench/src/lib.rs:45 (worker count changes wall time only; results are bit-identical for any value)
 det-flow waived det-flow crates/bench/src/lib.rs:72 (store location selects where bytes land, never what they are)
-det-flow waived det-flow crates/harness/src/pool.rs:430 (membership-only duplicate check; iteration order never observed)
-det-flow waived det-flow crates/harness/src/pool.rs:499 (wall time feeds only the documented-nondeterministic wall_ms field)
-det-flow waived det-flow crates/harness/src/pool.rs:520 (wall_ms is the one documented-nondeterministic output field)
+det-flow waived det-flow crates/harness/src/pool.rs:392 (membership-only duplicate check; iteration order never observed)
+det-flow waived det-flow crates/harness/src/pool.rs:461 (wall time feeds only the documented-nondeterministic wall_ms field)
+det-flow waived det-flow crates/harness/src/pool.rs:482 (wall_ms is the one documented-nondeterministic output field)
 det-flow ratchet growth=0 shrink=0
 schedulability target name=graphs::motivation processors=4 tasks=8 eq9_worst_task=control eq9_margin_ms=25.6 gamma_max=0.2 transient_min_margin_ms=25.6 transient_at_s=0 ok=true
 schedulability target name=graphs::apollo processors=4 tasks=23 eq9_worst_task=chassis_command eq9_margin_ms=22.8 gamma_max=0.0025 transient_min_margin_ms=22.8 transient_at_s=0 ok=true
