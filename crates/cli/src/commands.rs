@@ -444,9 +444,18 @@ fn cmd_fleet(args: &Args) -> Result<String, CliError> {
             cache.as_mut().map(|c| c as &mut dyn ResultCache<_>),
         );
         // Flush + fsync on success AND error paths: an interrupted run
-        // must leave its replayable JSONL prefix durably on disk.
+        // must leave its replayable JSONL prefix durably on disk. Only a
+        // regular file is synced: a device such as `/dev/null` rejects
+        // fsync and has nothing to make durable.
         use std::io::Write as _;
-        let sync = file.flush().and_then(|()| file.get_ref().sync_all());
+        let sync = file.flush().and_then(|()| {
+            let f = file.get_ref();
+            if f.metadata()?.is_file() {
+                f.sync_all()
+            } else {
+                Ok(())
+            }
+        });
         match (result, sync) {
             (Err(e), _) => Err(e), // the run error is primary
             (Ok(_), Err(e)) => {

@@ -1,6 +1,6 @@
 //! End-to-end checks of the `hcperf` binary: subcommand help, the
 //! duration and rate floors every run-type command inherits from the
-//! library, and fault plans the library rejects.
+//! library, fault plans the library rejects, and fleet output targets.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -90,4 +90,21 @@ fn fault_plan_ending_past_finite_time_exits_nonzero_without_panicking() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("invalid fault spec"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn fleet_output_to_a_device_succeeds() {
+    let args = [
+        "fleet",
+        "--vehicles",
+        "2",
+        "--duration",
+        "0.5",
+        "--out",
+        "/dev/null",
+    ];
+    let out = hcperf(&args, Duration::from_secs(60));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(stdout.contains("fleet: 2 vehicles"), "{stdout}");
 }

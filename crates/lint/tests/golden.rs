@@ -182,7 +182,7 @@ wcet cert root=PerformanceDirectedController::step cost=O(n) path=crates/core/sr
 wcet cert root=Sim::try_dispatch cost=O(n^5) path=crates/rtsim/src/sim.rs
 wcet cert root=gamma_max cost=O(n^3) path=crates/core/src/dps.rs
 wcet reachable=140 constant=0 input_bounded=23 waived=1 unbounded=0
-wcet waived wcet-unbounded crates/rtsim/src/sim.rs:802 (each pass either places a ready job on an idle core or exits; bounded by min(queue depth, processors) passes)
+wcet waived wcet-unbounded crates/rtsim/src/sim.rs:811 (each pass either places a ready job on an idle core or exits; bounded by min(queue depth, processors) passes)
 wcet ratchet growth=0 shrink=0
 det-flow sink sink=cli-stdout fn=main path=crates/cli/src/bin/hcperf.rs line=6 taints=0 status=clean
 det-flow sink sink=fig04-stdout fn=main path=crates/bench/src/bin/fig04_motivation.rs line=3 taints=0 status=clean

@@ -39,6 +39,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use hcperf_taskgraph::{ExecContext, LoadProfile, Rate, SimSpan, SimTime, TaskGraph, TaskId};
 use rand::rngs::StdRng;
@@ -179,7 +180,8 @@ pub struct SimSnapshot {
 /// ```
 #[derive(Debug)]
 pub struct Sim<S> {
-    graph: TaskGraph,
+    /// Shared, never mutated: many simulators may run one graph.
+    graph: Arc<TaskGraph>,
     config: SimConfig,
     scheduler: S,
     now: SimTime,
@@ -232,6 +234,8 @@ pub struct Sim<S> {
 
 impl<S: Scheduler> Sim<S> {
     /// Creates a simulator over `graph` with the given `scheduler`.
+    /// `graph` is a `TaskGraph` or an `Arc` of one: simulators never
+    /// mutate their graph, so many of them can share a single build.
     ///
     /// Source rates start at the **minimum** of each source's allowable
     /// range (or [`SimConfig::default_rate`] if none), matching the paper's
@@ -241,10 +245,15 @@ impl<S: Scheduler> Sim<S> {
     /// # Errors
     ///
     /// Returns [`SimError::NoProcessors`] if `config.processors == 0`.
-    pub fn new(graph: TaskGraph, config: SimConfig, scheduler: S) -> Result<Self, SimError> {
+    pub fn new(
+        graph: impl Into<Arc<TaskGraph>>,
+        config: SimConfig,
+        scheduler: S,
+    ) -> Result<Self, SimError> {
         if config.processors == 0 {
             return Err(SimError::NoProcessors);
         }
+        let graph: Arc<TaskGraph> = graph.into();
         let n = graph.len();
         let observed: Vec<SimSpan> = graph
             .task_ids()

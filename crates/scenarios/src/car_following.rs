@@ -13,6 +13,8 @@
 //!    control period: tracking error → `u(t)` → γ, and miss ratio →
 //!    adapted source rates.
 
+use std::sync::Arc;
+
 use hcperf::{CoordinatorConfig, DpsConfig, Scheme};
 use hcperf_faults::VehicleFaults;
 use hcperf_rtsim::SimConfig;
@@ -445,9 +447,18 @@ pub fn run_car_following(config: &CarFollowingConfig) -> Result<CarFollowingResu
 pub fn run_car_following_with_telemetry(
     config: &CarFollowingConfig,
 ) -> Result<(CarFollowingResult, Option<DegradedTelemetry>), ScenarioError> {
+    run_car_following_on(config, Arc::new(config.graph()?))
+}
+
+/// [`run_car_following_with_telemetry`] over a prebuilt `graph`, which
+/// must be `config.graph()`: a fleet builds it once for every vehicle.
+pub(crate) fn run_car_following_on(
+    config: &CarFollowingConfig,
+    graph: Arc<TaskGraph>,
+) -> Result<(CarFollowingResult, Option<DegradedTelemetry>), ScenarioError> {
     let mut lp = ClosedLoop::new(LoopSpec {
         scheme: config.scheme,
-        graph: config.graph()?,
+        graph,
         sim: SimConfig {
             staleness_bound: Some(SimSpan::from_millis(config.staleness_ms)),
             release_jitter_frac: config.release_jitter_frac,

@@ -9,6 +9,8 @@
 //! chain's source release — deadline misses become stale, sparse
 //! actuation.
 
+use std::sync::Arc;
+
 use hcperf::{CoordinatorConfig, DpsConfig, HcPerf, PeriodInput, SchedulerKind, Scheme};
 use hcperf_faults::VehicleFaults;
 use hcperf_rtsim::{ControlCommand, FaultCounters, JoinPolicy, Sim, SimConfig, WindowStats};
@@ -31,7 +33,8 @@ pub(crate) enum InitialRates {
 #[derive(Debug)]
 pub(crate) struct LoopSpec<'a> {
     pub scheme: Scheme,
-    pub graph: TaskGraph,
+    /// Shared: a fleet builds one graph for all of its vehicles.
+    pub graph: Arc<TaskGraph>,
     pub sim: SimConfig,
     pub dps: DpsConfig,
     /// Its period is set from `control_period`.
@@ -332,7 +335,7 @@ mod tests {
         let faults = VehicleFaults::default();
         let spec = LoopSpec {
             scheme: Scheme::Edf,
-            graph: builder.build().unwrap(),
+            graph: Arc::new(builder.build().unwrap()),
             sim: sim_config(1, 0, &LoadProfile::constant(0.0)),
             dps: DpsConfig::default(),
             coordinator: CoordinatorConfig::default(),

@@ -25,6 +25,7 @@
 //! service with a panic.
 
 use std::io;
+use std::sync::Arc;
 
 use hcperf::Scheme;
 use hcperf_faults::FaultPlan;
@@ -33,12 +34,11 @@ use hcperf_harness::{
     ResultCache,
 };
 use hcperf_rtsim::percentile;
-use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
-use hcperf_taskgraph::TaskGraph;
+use hcperf_taskgraph::{GraphError, TaskGraph};
 
-use crate::car_following::{run_car_following, CarFollowingConfig, ScenarioError};
+use crate::car_following::{run_car_following_on, CarFollowingConfig, ScenarioError};
 use crate::closed_loop::check_positive;
-use crate::lane_keeping::{run_lane_keeping, LaneKeepingConfig};
+use crate::lane_keeping::{run_lane_keeping_on, LaneKeepingConfig};
 
 /// Which per-vehicle scenario the fleet runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,14 +217,14 @@ pub struct FleetSummary {
 /// horizon and this vehicle's derived seed. Dense series recording stays
 /// off — a fleet retains aggregates, not trajectories.
 ///
-/// `fault_graph` is the pre-built task graph fault plans resolve task
-/// names against (built once per fleet, off the per-vehicle hot path);
-/// `Some` exactly when the fleet's plan is non-empty. Faults are
-/// materialized from this vehicle's *attempt* seed, so a retried crash
-/// re-draws its faults instead of deterministically crashing again.
+/// `graph` is the fleet's one task graph ([`fleet_graph`]): the vehicle
+/// runs it, and a fault plan resolves its task names against it, so the
+/// per-vehicle path builds no graph. Faults are materialized from this
+/// vehicle's *attempt* seed, so a retried crash re-draws its faults
+/// instead of deterministically crashing again.
 fn run_vehicle(
     config: &FleetConfig,
-    fault_graph: Option<&TaskGraph>,
+    graph: &Arc<TaskGraph>,
     vehicle: usize,
     seed: u64,
 ) -> Result<VehicleRecord, String> {
@@ -238,13 +238,13 @@ fn run_vehicle(
             c.warmup = c.warmup.min(config.duration * 0.25);
             c.seed = seed;
             c.record_series = false;
-            if let Some(graph) = fault_graph {
+            if !config.faults.is_empty() {
                 c.faults = config
                     .faults
                     .materialize(graph, vehicle, seed)
                     .map_err(|e| e.to_string())?;
             }
-            let r = run_car_following(&c).map_err(|e| e.to_string())?;
+            let (r, _) = run_car_following_on(&c, Arc::clone(graph)).map_err(|e| e.to_string())?;
             Ok(VehicleRecord {
                 scheme: r.scheme,
                 tracking_rms: r.rms_speed_error,
@@ -260,7 +260,7 @@ fn run_vehicle(
             c.duration = config.duration;
             c.warmup = c.warmup.min(config.duration * 0.25);
             c.seed = seed;
-            let r = run_lane_keeping(&c).map_err(|e| e.to_string())?;
+            let r = run_lane_keeping_on(&c, Arc::clone(graph)).map_err(|e| e.to_string())?;
             Ok(VehicleRecord {
                 scheme: r.scheme,
                 tracking_rms: r.rms_lateral_offset,
@@ -437,6 +437,18 @@ impl RecordSink<Result<VehicleRecord, String>> for FleetSink<'_> {
     }
 }
 
+/// The task graph every vehicle of the fleet runs: the preset's scenario
+/// graph under the fleet's scheme. Only per-vehicle fields (seed,
+/// horizon, warm-up, series recording, faults) differ between vehicles,
+/// and none of them enters the graph, so one build serves the fleet.
+fn fleet_graph(config: &FleetConfig) -> Result<TaskGraph, GraphError> {
+    match config.preset {
+        FleetPreset::CarFollowing => CarFollowingConfig::paper_simulation(config.scheme).graph(),
+        FleetPreset::CarFollowingHardware => CarFollowingConfig::hardware(config.scheme).graph(),
+        FleetPreset::LaneKeeping => LaneKeepingConfig::paper_loop(config.scheme).graph(),
+    }
+}
+
 /// Runs the fleet and streams JSONL to `out`: one `"type":"vehicle"`
 /// line per vehicle in submission order, a `"type":"aggregate"` line
 /// every [`FleetConfig::aggregate_every`] vehicles, and a final
@@ -478,24 +490,20 @@ pub fn run_fleet_with_cache(
 ) -> Result<FleetSummary, ScenarioError> {
     check_positive("vehicles", config.vehicles as f64)?;
     check_positive("duration", config.duration)?;
-    // Fault plans are resolved against one shared graph built up front —
-    // task-name validation fails the run before any vehicle simulates,
-    // and the per-vehicle hot path only draws seeds.
-    let fault_graph: Option<TaskGraph> = if config.faults.is_empty() {
-        None
-    } else {
-        if config.preset == FleetPreset::LaneKeeping {
-            return Err(ScenarioError::Job(
-                "fault plans are not supported for the lane-keeping preset".to_string(),
-            ));
-        }
-        let graph = apollo_graph(&GraphOptions::default())?;
+    if !config.faults.is_empty() && config.preset == FleetPreset::LaneKeeping {
+        return Err(ScenarioError::Job(
+            "fault plans are not supported for the lane-keeping preset".to_string(),
+        ));
+    }
+    // One graph for the whole fleet, shared by reference. A fault plan's
+    // task names are validated against it before any vehicle simulates.
+    let graph = Arc::new(fleet_graph(config)?);
+    if !config.faults.is_empty() {
         config
             .faults
             .materialize(&graph, 0, config.root_seed)
             .map_err(|e| ScenarioError::Job(e.to_string()))?;
-        Some(graph)
-    };
+    }
     let jobs: Vec<Job<usize>> = (0..config.vehicles)
         .map(|i| Job::new(format!("fleet/{}/vehicle={i}", config.preset.name()), i))
         .collect();
@@ -509,9 +517,7 @@ pub fn run_fleet_with_cache(
         if let Some(cache) = cache {
             opts = opts.cached(cache);
         }
-        run_batch_streaming(&jobs, opts, |&i, seed| {
-            run_vehicle(config, fault_graph.as_ref(), i, seed)
-        })
+        run_batch_streaming(&jobs, opts, |&i, seed| run_vehicle(config, &graph, i, seed))
     };
     let summary = match run {
         Ok(summary) => summary,

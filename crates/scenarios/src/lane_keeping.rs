@@ -5,6 +5,8 @@
 //! scheduler decides when fresh steering reaches the wheels. Performance
 //! metric: lateral offset from the lane centerline.
 
+use std::sync::Arc;
+
 use hcperf::{CoordinatorConfig, DpsConfig, Scheme};
 use hcperf_faults::VehicleFaults;
 use hcperf_taskgraph::graphs::{apollo_graph, GraphOptions};
@@ -175,6 +177,15 @@ struct SensedFrenet {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run_lane_keeping(config: &LaneKeepingConfig) -> Result<LaneKeepingResult, ScenarioError> {
+    run_lane_keeping_on(config, Arc::new(config.graph()?))
+}
+
+/// [`run_lane_keeping`] over a prebuilt `graph`, which must be
+/// `config.graph()`: a fleet builds it once for every vehicle.
+pub(crate) fn run_lane_keeping_on(
+    config: &LaneKeepingConfig,
+    graph: Arc<TaskGraph>,
+) -> Result<LaneKeepingResult, ScenarioError> {
     // Lane-keeping errors are tens of centimeters, not m/s: rescale the
     // PDC so a 0.1 m offset drives u as strongly as ~1 m/s did, and
     // shrink the deadband accordingly.
@@ -184,7 +195,7 @@ pub fn run_lane_keeping(config: &LaneKeepingConfig) -> Result<LaneKeepingResult,
     let no_faults = VehicleFaults::default();
     let mut lp = ClosedLoop::new(LoopSpec {
         scheme: config.scheme,
-        graph: config.graph()?,
+        graph,
         sim: sim_config(config.processors, config.seed, &config.load),
         dps: config.dps,
         coordinator,

@@ -133,7 +133,7 @@ pub fn run_motivation(config: &MotivationConfig) -> Result<MotivationResult, Sce
     let dt = config.physics_dt;
     let mut lp = ClosedLoop::new(LoopSpec {
         scheme: config.scheme,
-        graph: config.graph()?,
+        graph: config.graph()?.into(),
         sim: sim_config(config.processors, config.seed, &config.load),
         dps: DpsConfig::default(),
         coordinator,

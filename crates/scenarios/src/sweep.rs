@@ -8,7 +8,10 @@
 //!
 //! Each probed rate is an independent deterministic simulation, fanned
 //! out over [`hcperf_harness`] ([`rate_sweep_parallel`]): the curve is
-//! bit-identical for any worker count.
+//! bit-identical for any worker count. Every point shares the sweep's
+//! one task graph.
+
+use std::sync::Arc;
 
 use hcperf::{DpsConfig, Scheme};
 use hcperf_harness::{run_batch, BatchOptions, Job, ResultCache};
@@ -70,12 +73,12 @@ impl Default for SweepConfig {
 /// Simulates one probed rate; every sweep point goes through this single
 /// function.
 fn sweep_point(
-    graph: &TaskGraph,
+    graph: &Arc<TaskGraph>,
     config: &SweepConfig,
     rate_hz: f64,
 ) -> Result<SweepPoint, ScenarioError> {
     let mut sim = Sim::new(
-        graph.clone(),
+        Arc::clone(graph),
         SimConfig {
             processors: config.processors,
             seed: config.seed,
@@ -145,7 +148,7 @@ pub fn rate_sweep_parallel_cached(
     for &rate in &config.rates_hz {
         check_positive("rate_hz", rate)?;
     }
-    let graph = sweep_graph(config)?;
+    let graph = Arc::new(sweep_graph(config)?);
     let jobs: Vec<Job<f64>> = config
         .rates_hz
         .iter()
