@@ -81,11 +81,13 @@ COMMANDS
   run         Closed-loop car following (default) or lane keeping
                 --scenario  car-following | lane-keeping   (car-following)
                 --scheme    hpf|edf|edf-vd|apollo|hcperf   (hcperf)
-                --duration  seconds                        (30)
+                --duration  seconds, at most 10^7 physics steps
+                            (about 13.9 h at the 5 ms step)   (30)
                 --seed      integer                        (42)
   sweep       Pipeline-rate sweep to locate the capacity knee
                 --scheme, --seed as above
-                --from, --to, --step   Hz                  (10, 50, 5)
+                --from, --to, --step   Hz, at most 10000 rates
+                                                           (10, 50, 5)
                 --duration  seconds per point              (5)
                 --jobs      worker threads; each probed rate is an
                             independent simulation, results are
@@ -110,7 +112,8 @@ COMMANDS
                             lane-keeping                       (car-following)
                 --scheme    hpf|edf|edf-vd|apollo|hcperf       (hcperf)
                 --vehicles  fleet size                         (100)
-                --duration  seconds per vehicle                (20)
+                --duration  seconds per vehicle, at most 10^7
+                            physics steps                      (20)
                 --seed      root seed (per-vehicle seeds are
                             derived from stable keys)          (990951)
                 --jobs      worker threads                     (available parallelism)
@@ -242,6 +245,31 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The most rates one `hcperf sweep` probes.
+const MAX_SWEEP_POINTS: usize = 10_000;
+
+/// `from, from + step, …` up to `to`, counted before any is built: a
+/// step too small for the range (down to one that no longer moves an
+/// `f64` at all) is refused instead of growing the list without end.
+fn sweep_rates(from: f64, to: f64, step: f64) -> Result<Vec<f64>, CliError> {
+    let points = ((to + 1e-9 - from) / step).floor() + 1.0;
+    if points > MAX_SWEEP_POINTS as f64 {
+        return Err(CliError::Args(ParseError(format!(
+            "sweep --step {step:e} spans {points:e} rates from {from} to {to} Hz; \
+             at most {MAX_SWEEP_POINTS} are allowed"
+        ))));
+    }
+    let mut rates = Vec::with_capacity(points as usize);
+    let mut hz = from;
+    // The count bounds the loop even where `hz + step` no longer moves
+    // `hz`; rounding in the sum may yield one rate past the count.
+    while hz <= to + 1e-9 && rates.len() <= points as usize {
+        rates.push(hz);
+        hz += step;
+    }
+    Ok(rates)
+}
+
 fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     let scheme = args.get_scheme("scheme", Scheme::Edf)?;
     let from = args.get_f64("from", 10.0)?;
@@ -256,12 +284,7 @@ fn cmd_sweep(args: &Args) -> Result<String, CliError> {
             "sweep needs 0 < --from <= --to < inf and --step > 0".into(),
         )));
     }
-    let mut rates = Vec::new();
-    let mut hz = from;
-    while hz <= to + 1e-9 {
-        rates.push(hz);
-        hz += step;
-    }
+    let rates = sweep_rates(from, to, step)?;
     let config = SweepConfig {
         scheme,
         rates_hz: rates,

@@ -108,3 +108,35 @@ fn fleet_output_to_a_device_succeeds() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert!(stdout.contains("fleet: 2 vehicles"), "{stdout}");
 }
+
+/// A step too small to move the rate is refused by counting the points
+/// first; the probe never reaches the loop that builds the rate list.
+#[test]
+fn sweep_with_a_vanishing_step_exits_1_without_building_the_list() {
+    for step in ["1e-300", "5e-324", "1e-6"] {
+        let args = ["sweep", "--from", "10", "--to", "50", "--step", step];
+        let out = hcperf(&args, Duration::from_secs(30));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("at most 10000 are allowed"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{out:?}");
+    }
+}
+
+/// A finite horizon whose history would need ~2x10^14 rows is refused
+/// with a clean error instead of aborting on the allocation.
+#[test]
+fn huge_finite_durations_exit_1_without_allocating() {
+    for scenario in ["car-following", "lane-keeping"] {
+        let args = ["run", "--scenario", scenario, "--duration", "1e12"];
+        let out = hcperf(&args, Duration::from_secs(30));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("invalid duration 1000000000000"),
+            "{stderr}"
+        );
+        assert!(stderr.contains("10^7 physics steps"), "{stderr}");
+        assert!(!stderr.contains("memory allocation"), "{stderr}");
+    }
+}

@@ -49,12 +49,14 @@
 //! ```
 
 pub mod cache;
+pub mod escape;
 pub mod job;
 pub mod pool;
 pub mod seed;
 pub mod sink;
 
 pub use cache::ResultCache;
+pub use escape::{json_escape, json_unescape, write_json_escaped};
 pub use job::{Job, JobResult, JobStatus};
 pub use pool::{run_batch, run_batch_streaming, BatchOptions, HarnessError, StreamSummary};
-pub use sink::{json_escape, JsonlSink, RecordSink};
+pub use sink::{JsonlSink, RecordSink};

@@ -7,6 +7,7 @@
 
 use std::io::{self, Write};
 
+use crate::escape::json_escape;
 use crate::job::{JobResult, JobStatus};
 
 /// Receives results as they become deliverable in submission order.
@@ -30,26 +31,6 @@ impl<O, F: FnMut(&JobResult<O>)> RecordSink<O> for F {
     fn record(&mut self, result: &JobResult<O>) {
         self(result);
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Streams one JSON object per job to a writer (JSON Lines).

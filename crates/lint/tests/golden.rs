@@ -191,10 +191,10 @@ det-flow sink sink=fig14-stdout fn=main path=crates/bench/src/bin/fig14_lane_kee
 det-flow sink sink=fig15-stdout fn=main path=crates/bench/src/bin/fig15_hardware.rs line=3 taints=0 status=clean
 det-flow sink sink=fig18-stdout fn=main path=crates/bench/src/bin/fig18_ablation.rs line=3 taints=0 status=clean
 det-flow sink sink=fleet-jsonl fn=FleetSink::record path=crates/scenarios/src/fleet.rs line=379 taints=0 status=clean
-det-flow sink sink=harness-jsonl fn=JsonlSink::record path=crates/harness/src/sink.rs line=147 taints=0 status=clean
+det-flow sink sink=harness-jsonl fn=JsonlSink::record path=crates/harness/src/sink.rs line=128 taints=0 status=clean
 det-flow sink sink=seed-derivation fn=derive_seed path=crates/harness/src/seed.rs line=43 taints=0 status=clean
-det-flow sink sink=store-append fn=Store::append path=crates/store/src/store.rs line=384 taints=0 status=clean
-det-flow sink sink=store-cell-id fn=cell_id path=crates/store/src/hash.rs line=57 taints=0 status=clean
+det-flow sink sink=store-append fn=Store::append path=crates/store/src/store.rs line=280 taints=0 status=clean
+det-flow sink sink=store-cell-id fn=cell_id path=crates/store/src/hash.rs line=58 taints=0 status=clean
 det-flow sink sink=store-fingerprint fn=fingerprint path=crates/store/src/hash.rs line=42 taints=0 status=clean
 det-flow flows 0
 det-flow waived det-flow crates/bench/src/lib.rs:45 (worker count changes wall time only; results are bit-identical for any value)

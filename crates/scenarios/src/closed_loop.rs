@@ -105,6 +105,12 @@ pub fn check_positive(name: &'static str, value: f64) -> Result<(), ScenarioErro
     Err(ScenarioError::InvalidParameter { name, value, need })
 }
 
+/// The most physics steps one closed loop runs: 10^7, about 13.9
+/// simulated hours at the presets' 5 ms step. The sensing history is
+/// reserved up front, one row per step, so a longer horizon is refused
+/// instead of asking for that memory.
+pub(crate) const MAX_LOOP_STEPS: usize = 10_000_000;
+
 /// One vehicle's simulator, coordinator and sensing history.
 #[derive(Debug)]
 pub(crate) struct ClosedLoop<'a, S> {
@@ -132,6 +138,14 @@ impl<'a, S: Copy> ClosedLoop<'a, S> {
         let (dt, period) = (spec.physics_dt, spec.control_period);
         check_positive("duration", spec.duration)?;
         check_positive("physics_dt", dt)?;
+        if spec.duration / dt > MAX_LOOP_STEPS as f64 {
+            let need = "at most 10^7 physics steps (duration / physics_dt)";
+            return Err(ScenarioError::InvalidParameter {
+                name: "duration",
+                value: spec.duration,
+                need,
+            });
+        }
         if !(period.is_finite() && period >= dt) {
             let need = "a finite value >= physics_dt";
             return Err(ScenarioError::InvalidParameter {
@@ -319,8 +333,9 @@ mod tests {
         assert_eq!(lookup::<f64>(&[], 1.0), None);
     }
 
-    #[test]
-    fn a_graph_without_sensor_fusion_is_a_typed_error() {
+    /// A spec whose graph lacks `sensor_fusion`, so `ClosedLoop::new`
+    /// fails right after validating the timing and allocates nothing.
+    fn fusionless_spec(faults: &VehicleFaults, duration: f64) -> LoopSpec<'_> {
         use hcperf_taskgraph::{ExecModel, Priority, Stage, TaskSpec};
         let mut builder = TaskGraph::builder();
         builder.add_task(
@@ -332,25 +347,45 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let faults = VehicleFaults::default();
-        let spec = LoopSpec {
+        LoopSpec {
             scheme: Scheme::Edf,
             graph: Arc::new(builder.build().unwrap()),
             sim: sim_config(1, 0, &LoadProfile::constant(0.0)),
             dps: DpsConfig::default(),
             coordinator: CoordinatorConfig::default(),
             initial_rates: InitialRates::Fixed(10.0),
-            duration: 1.0,
+            duration,
             physics_dt: 0.005,
             control_period: 0.1,
             command_timeout: 0.3,
-            faults: &faults,
+            faults,
             record_mode: false,
-        };
-        let err = ClosedLoop::<f64>::new(spec).unwrap_err();
+        }
+    }
+
+    #[test]
+    fn a_graph_without_sensor_fusion_is_a_typed_error() {
+        let faults = VehicleFaults::default();
+        let err = ClosedLoop::<f64>::new(fusionless_spec(&faults, 1.0)).unwrap_err();
         assert!(
             matches!(err, ScenarioError::MissingTask("sensor_fusion")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn horizons_past_the_step_bound_are_refused_before_any_allocation() {
+        let faults = VehicleFaults::default();
+        let at_bound = MAX_LOOP_STEPS as f64 * 0.005;
+        for duration in [at_bound * 1.001, 1e12, f64::MAX] {
+            let err = ClosedLoop::<f64>::new(fusionless_spec(&faults, duration)).unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::InvalidParameter { name: "duration", value, .. } if value == duration),
+                "{duration}: {err}"
+            );
+        }
+        // The bound itself is accepted: the spec fails on its graph instead.
+        let err = ClosedLoop::<f64>::new(fusionless_spec(&faults, at_bound)).unwrap_err();
+        assert!(matches!(err, ScenarioError::MissingTask(_)), "{err}");
     }
 }

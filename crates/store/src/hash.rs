@@ -51,19 +51,30 @@ pub fn fingerprint(parts: &[&str]) -> String {
 }
 
 /// Content-addressed identity of one experiment cell: 128 bits over
-/// `(fingerprint, stable job key)` as 32 lowercase hex digits.
+/// `(fingerprint, stable job key)` as 32 lowercase hex digits. Both
+/// FNV-1a halves hash `fingerprint`, `\x1f`, `key` in one pass.
 #[must_use]
 // hcperf-lint: det-sink(store-cell-id): cell addresses must be a pure function of (fingerprint, key)
 pub fn cell_id(fingerprint: &str, key: &str) -> CellId {
-    let mut bytes = Vec::with_capacity(fingerprint.len() + 1 + key.len());
-    bytes.extend_from_slice(fingerprint.as_bytes());
-    bytes.push(0x1f);
-    bytes.extend_from_slice(key.as_bytes());
-    format!(
-        "{:016x}{:016x}",
-        fnv1a64_with(FNV_OFFSET, &bytes),
-        fnv1a64_with(FNV_OFFSET_HI, &bytes)
-    )
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let (mut lo, mut hi) = (FNV_OFFSET, FNV_OFFSET_HI);
+    let separator = [0x1f];
+    for &b in fingerprint
+        .as_bytes()
+        .iter()
+        .chain(&separator)
+        .chain(key.as_bytes())
+    {
+        lo = (lo ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        hi = (hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    let mut id = String::with_capacity(32);
+    for half in [lo, hi] {
+        for shift in (0..16).rev() {
+            id.push(char::from(HEX[((half >> (4 * shift)) & 0xf) as usize]));
+        }
+    }
+    id
 }
 
 #[cfg(test)]
@@ -88,6 +99,14 @@ mod tests {
         assert!(a.bytes().all(|c| c.is_ascii_hexdigit()));
         // The two halves are independent hashes, not copies.
         assert_ne!(&a[..16], &a[16..]);
+        // The one-pass hash matches both halves hashed separately.
+        let bytes = [fp.as_bytes(), &[0x1f], b"fleet/car-following/vehicle=0"].concat();
+        let separate = format!(
+            "{:016x}{:016x}",
+            fnv1a64_with(FNV_OFFSET, &bytes),
+            fnv1a64_with(FNV_OFFSET_HI, &bytes)
+        );
+        assert_eq!(a, separate);
         // Identity is fingerprint-sensitive too.
         let fp2 = fingerprint(&["fleet", "seed=0xF1EE7", "v2"]);
         assert_ne!(a, cell_id(&fp2, "fleet/car-following/vehicle=0"));

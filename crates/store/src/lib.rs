@@ -28,6 +28,7 @@
 
 mod cache;
 mod hash;
+mod record;
 mod store;
 
 pub use cache::CellCache;

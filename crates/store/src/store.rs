@@ -21,6 +21,12 @@
 //! serialized, embedded as an escaped JSON string — so replaying a cell
 //! re-emits the producer's bytes, never a re-rendering of them.
 //!
+//! These shapes are the replay contract: [`Store::open`] streams the log
+//! line by line and accepts exactly what the store writes (fixed key
+//! order, no whitespace, `hcperf_harness::json_escape` strings, the
+//! shortest round-trip rendering of `wall_ms`). A line outside that
+//! grammar is corrupt, even if it is valid JSON.
+//!
 //! # Crash safety
 //!
 //! A crash mid-append leaves at most one torn final line (the file is
@@ -31,16 +37,14 @@
 //! interrupted run resumes from exactly the prefix it managed to
 //! persist.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use hcperf_harness::json_escape;
-use serde_json::Value;
-
 use crate::hash::CellId;
+use crate::record::Record;
 
 /// Default number of slowest cells reported by [`Store::bottlenecks`].
 pub const SLOW_CELLS_DEFAULT: usize = 10;
@@ -210,10 +214,10 @@ impl fmt::Debug for Store {
 impl Store {
     /// Opens (or creates) the store at `path`, replaying the log.
     ///
-    /// A torn or corrupt tail — the first line that is unterminated or
-    /// fails to parse, plus everything after it — is appended to
-    /// `<path>.quarantine` and the log is truncated back to the last
-    /// complete record.
+    /// The log is streamed one line at a time. A torn or corrupt tail —
+    /// the first line that is unterminated or outside the log grammar,
+    /// plus everything after it — is appended to `<path>.quarantine`
+    /// and the log is truncated back to the last complete record.
     ///
     /// # Errors
     ///
@@ -225,53 +229,37 @@ impl Store {
             source,
         };
 
-        let mut bytes = Vec::new();
+        let mut cells = BTreeMap::new();
+        let mut runs = Vec::new();
+        let mut quarantined_bytes = 0;
         match File::open(&path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes).map_err(io_err)?;
+            Ok(f) => {
+                let mut reader = BufReader::with_capacity(1 << 16, f);
+                let (mut line, mut scratch) = (Vec::new(), String::new());
+                // Offset of the first byte NOT covered by a valid record.
+                let mut clean_end = 0u64;
+                loop {
+                    line.clear();
+                    if reader.read_until(b'\n', &mut line).map_err(io_err)? == 0 {
+                        break;
+                    }
+                    let replayed = line
+                        .strip_suffix(b"\n") // an unterminated line is a torn tail
+                        .and_then(|l| std::str::from_utf8(l).ok())
+                        .and_then(|l| Record::parse(l, &mut scratch))
+                        .is_some_and(|record| replay(&mut cells, &mut runs, record));
+                    if !replayed {
+                        quarantined_bytes = quarantine(&path, &line, &mut reader)?;
+                        let f = OpenOptions::new().write(true).open(&path).map_err(io_err)?;
+                        f.set_len(clean_end).map_err(io_err)?;
+                        f.sync_all().map_err(io_err)?;
+                        break;
+                    }
+                    clean_end += line.len() as u64;
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(io_err(e)),
-        }
-
-        let mut cells = BTreeMap::new();
-        let mut runs = Vec::new();
-        // Offset of the first byte NOT covered by a valid record.
-        let mut clean_end = 0usize;
-        let mut cursor = 0usize;
-        while cursor < bytes.len() {
-            let Some(nl) = bytes[cursor..].iter().position(|&b| b == b'\n') else {
-                break; // unterminated final line: torn tail
-            };
-            let line = &bytes[cursor..cursor + nl];
-            if !Store::replay_line(line, &mut cells, &mut runs) {
-                break; // corrupt line: quarantine it and everything after
-            }
-            cursor += nl + 1;
-            clean_end = cursor;
-        }
-
-        let mut quarantined_bytes = 0;
-        if clean_end < bytes.len() {
-            quarantined_bytes = bytes.len() - clean_end;
-            let qpath = quarantine_path(&path);
-            let mut q = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&qpath)
-                .map_err(|source| StoreError::Io {
-                    path: qpath.clone(),
-                    source,
-                })?;
-            q.write_all(&bytes[clean_end..])
-                .and_then(|()| q.sync_all())
-                .map_err(|source| StoreError::Io {
-                    path: qpath.clone(),
-                    source,
-                })?;
-            let f = OpenOptions::new().write(true).open(&path).map_err(io_err)?;
-            f.set_len(clean_end as u64).map_err(io_err)?;
-            f.sync_all().map_err(io_err)?;
         }
 
         let file = OpenOptions::new()
@@ -288,107 +276,16 @@ impl Store {
         })
     }
 
-    /// Applies one complete log line; `false` marks it corrupt.
-    fn replay_line(
-        line: &[u8],
-        cells: &mut BTreeMap<CellId, Cell>,
-        runs: &mut Vec<RunSummary>,
-    ) -> bool {
-        let Ok(text) = std::str::from_utf8(line) else {
-            return false;
-        };
-        let Ok(v) = serde_json::from_str::<Value>(text) else {
-            return false;
-        };
-        let Some(op) = v["op"].as_str() else {
-            return false;
-        };
-        if op == "run" {
-            let (Some(hits), Some(misses)) = (v["hits"].as_u64(), v["misses"].as_u64()) else {
-                return false;
-            };
-            runs.push(RunSummary {
-                hits: hits as usize,
-                misses: misses as usize,
-            });
-            return true;
-        }
-        let Some(cell) = v["cell"].as_str() else {
-            return false;
-        };
-        match op {
-            "pending" => {
-                let Some(key) = v["key"].as_str() else {
-                    return false;
-                };
-                // Re-registering is a retry: done cells stay done.
-                let entry = cells.entry(cell.to_owned()).or_insert_with(|| Cell {
-                    key: key.to_owned(),
-                    state: CellState::Pending,
-                });
-                if !matches!(entry.state, CellState::Done { .. }) {
-                    entry.state = CellState::Pending;
-                }
-                true
-            }
-            "running" => match cells.get_mut(cell) {
-                Some(c) => {
-                    if !matches!(c.state, CellState::Done { .. }) {
-                        c.state = CellState::Running;
-                    }
-                    true
-                }
-                None => false,
-            },
-            "done" => {
-                let (Some(wall_ms), Some(payload)) = (v["wall_ms"].as_f64(), v["payload"].as_str())
-                else {
-                    return false;
-                };
-                let attempts = v["attempts"].as_u64().unwrap_or(1) as u32;
-                match cells.get_mut(cell) {
-                    Some(c) => {
-                        c.state = CellState::Done {
-                            wall_ms,
-                            payload: payload.to_owned(),
-                            attempts,
-                        };
-                        true
-                    }
-                    None => false,
-                }
-            }
-            "failed" => {
-                let Some(error) = v["error"].as_str() else {
-                    return false;
-                };
-                let attempts = v["attempts"].as_u64().unwrap_or(1) as u32;
-                match cells.get_mut(cell) {
-                    Some(c) => {
-                        if !matches!(c.state, CellState::Done { .. }) {
-                            c.state = CellState::Failed {
-                                error: error.to_owned(),
-                                attempts,
-                            };
-                        }
-                        true
-                    }
-                    None => false,
-                }
-            }
-            _ => false,
-        }
-    }
-
     // hcperf-lint: det-sink(store-append): every log line is replayed on resume; bytes must be stable
-    fn append(&mut self, line: &str) -> Result<(), StoreError> {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .map_err(|source| StoreError::Io {
-                path: self.path.clone(),
-                source,
-            })
+    fn append(
+        writer: &mut BufWriter<File>,
+        path: &Path,
+        record: &Record<'_>,
+    ) -> Result<(), StoreError> {
+        record.write_to(writer).map_err(|source| StoreError::Io {
+            path: path.to_path_buf(),
+            source,
+        })
     }
 
     /// The log file this store appends to.
@@ -419,27 +316,33 @@ impl Store {
     ///
     /// Propagates append I/O failures.
     pub fn register(&mut self, id: &str, key: &str) -> Result<bool, StoreError> {
-        match self.cells.get(id) {
-            Some(cell) if cell.key != key => {
-                return Err(StoreError::Lifecycle(format!(
-                    "cell {id} registered with key {:?} but already maps to {:?}",
-                    key, cell.key
-                )));
+        let record = Record::Pending {
+            cell: id.into(),
+            key: key.into(),
+        };
+        match self.cells.entry(id.to_owned()) {
+            Entry::Occupied(entry) => {
+                let cell = entry.into_mut();
+                if cell.key != key {
+                    return Err(StoreError::Lifecycle(format!(
+                        "cell {id} registered with key {:?} but already maps to {:?}",
+                        key, cell.key
+                    )));
+                }
+                if !matches!(cell.state, CellState::Failed { .. }) {
+                    return Ok(false);
+                }
+                Store::append(&mut self.writer, &self.path, &record)?;
+                cell.state = CellState::Pending;
             }
-            Some(cell) if !matches!(cell.state, CellState::Failed { .. }) => return Ok(false),
-            _ => {}
+            Entry::Vacant(entry) => {
+                Store::append(&mut self.writer, &self.path, &record)?;
+                entry.insert(Cell {
+                    key: key.to_owned(),
+                    state: CellState::Pending,
+                });
+            }
         }
-        self.append(&format!(
-            "{{\"op\":\"pending\",\"cell\":\"{id}\",\"key\":\"{}\"}}",
-            json_escape(key)
-        ))?;
-        self.cells.insert(
-            id.to_owned(),
-            Cell {
-                key: key.to_owned(),
-                state: CellState::Pending,
-            },
-        );
         Ok(true)
     }
 
@@ -450,7 +353,7 @@ impl Store {
     /// Fails on unregistered or already-`done` cells, and on append
     /// I/O failures.
     pub fn mark_running(&mut self, id: &str) -> Result<(), StoreError> {
-        match self.cells.get(id) {
+        let cell = match self.cells.get_mut(id) {
             None => {
                 return Err(StoreError::Lifecycle(format!(
                     "cell {id} marked running but was never registered"
@@ -461,12 +364,11 @@ impl Store {
                     "cell {id} marked running but is already done"
                 )))
             }
-            Some(_) => {}
-        }
-        self.append(&format!("{{\"op\":\"running\",\"cell\":\"{id}\"}}"))?;
-        if let Some(cell) = self.cells.get_mut(id) {
-            cell.state = CellState::Running;
-        }
+            Some(cell) => cell,
+        };
+        let record = Record::Running { cell: id.into() };
+        Store::append(&mut self.writer, &self.path, &record)?;
+        cell.state = CellState::Running;
         Ok(())
     }
 
@@ -493,28 +395,24 @@ impl Store {
         payload: &str,
         attempts: u32,
     ) -> Result<(), StoreError> {
-        if !self.cells.contains_key(id) {
+        let Some(cell) = self.cells.get_mut(id) else {
             return Err(StoreError::Lifecycle(format!(
                 "cell {id} completed but was never registered"
             )));
-        }
-        let attempts = attempts.max(1);
-        let extra = if attempts > 1 {
-            format!(",\"attempts\":{attempts}")
-        } else {
-            String::new()
         };
-        self.append(&format!(
-            "{{\"op\":\"done\",\"cell\":\"{id}\",\"wall_ms\":{wall_ms},\"payload\":\"{}\"{extra}}}",
-            json_escape(payload)
-        ))?;
-        if let Some(cell) = self.cells.get_mut(id) {
-            cell.state = CellState::Done {
-                wall_ms,
-                payload: payload.to_owned(),
-                attempts,
-            };
-        }
+        let attempts = attempts.max(1);
+        let record = Record::Done {
+            cell: id.into(),
+            wall_ms,
+            payload: payload.into(),
+            attempts,
+        };
+        Store::append(&mut self.writer, &self.path, &record)?;
+        cell.state = CellState::Done {
+            wall_ms,
+            payload: payload.to_owned(),
+            attempts,
+        };
         Ok(())
     }
 
@@ -540,27 +438,22 @@ impl Store {
         error: &str,
         attempts: u32,
     ) -> Result<(), StoreError> {
-        if !self.cells.contains_key(id) {
+        let Some(cell) = self.cells.get_mut(id) else {
             return Err(StoreError::Lifecycle(format!(
                 "cell {id} failed but was never registered"
             )));
-        }
-        let attempts = attempts.max(1);
-        let extra = if attempts > 1 {
-            format!(",\"attempts\":{attempts}")
-        } else {
-            String::new()
         };
-        self.append(&format!(
-            "{{\"op\":\"failed\",\"cell\":\"{id}\",\"error\":\"{}\"{extra}}}",
-            json_escape(error)
-        ))?;
-        if let Some(cell) = self.cells.get_mut(id) {
-            cell.state = CellState::Failed {
-                error: error.to_owned(),
-                attempts,
-            };
-        }
+        let attempts = attempts.max(1);
+        let record = Record::Failed {
+            cell: id.into(),
+            error: error.into(),
+            attempts,
+        };
+        Store::append(&mut self.writer, &self.path, &record)?;
+        cell.state = CellState::Failed {
+            error: error.to_owned(),
+            attempts,
+        };
         Ok(())
     }
 
@@ -570,12 +463,12 @@ impl Store {
     ///
     /// Propagates append I/O failures.
     pub fn record_run(&mut self, fingerprint: &str, summary: RunSummary) -> Result<(), StoreError> {
-        self.append(&format!(
-            "{{\"op\":\"run\",\"fingerprint\":\"{}\",\"hits\":{},\"misses\":{}}}",
-            json_escape(fingerprint),
-            summary.hits,
-            summary.misses
-        ))?;
+        let record = Record::Run {
+            fingerprint: fingerprint.into(),
+            hits: summary.hits,
+            misses: summary.misses,
+        };
+        Store::append(&mut self.writer, &self.path, &record)?;
         self.runs.push(summary);
         Ok(())
     }
@@ -682,6 +575,83 @@ impl Drop for Store {
     fn drop(&mut self) {
         let _ = self.writer.flush();
     }
+}
+
+/// Applies one replayed record; `false` marks it corrupt (an op on a
+/// cell that was never registered).
+fn replay(
+    cells: &mut BTreeMap<CellId, Cell>,
+    runs: &mut Vec<RunSummary>,
+    record: Record<'_>,
+) -> bool {
+    let cell = match record {
+        Record::Run { hits, misses, .. } => {
+            runs.push(RunSummary { hits, misses });
+            return true;
+        }
+        Record::Pending { cell, key } => {
+            // Re-registering is a retry: done cells stay done.
+            let entry = cells.entry(cell.into_owned()).or_insert_with(|| Cell {
+                key: key.into_owned(),
+                state: CellState::Pending,
+            });
+            if !matches!(entry.state, CellState::Done { .. }) {
+                entry.state = CellState::Pending;
+            }
+            return true;
+        }
+        Record::Running { ref cell }
+        | Record::Done { ref cell, .. }
+        | Record::Failed { ref cell, .. } => cells.get_mut(cell.as_ref()),
+    };
+    let Some(cell) = cell else {
+        return false;
+    };
+    let done = matches!(cell.state, CellState::Done { .. });
+    match record {
+        Record::Done {
+            wall_ms,
+            payload,
+            attempts,
+            ..
+        } => {
+            cell.state = CellState::Done {
+                wall_ms,
+                payload: payload.into_owned(),
+                attempts,
+            };
+        }
+        Record::Failed {
+            error, attempts, ..
+        } if !done => {
+            cell.state = CellState::Failed {
+                error: error.into_owned(),
+                attempts,
+            };
+        }
+        Record::Running { .. } if !done => cell.state = CellState::Running,
+        _ => {}
+    }
+    true
+}
+
+/// Moves a corrupt tail — `line` plus everything `rest` still holds —
+/// to the quarantine file, returning its length in bytes.
+fn quarantine(path: &Path, line: &[u8], rest: &mut impl io::Read) -> Result<usize, StoreError> {
+    let qpath = quarantine_path(path);
+    let io_err = |source| StoreError::Io {
+        path: qpath.clone(),
+        source,
+    };
+    let mut q = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&qpath)
+        .map_err(io_err)?;
+    q.write_all(line).map_err(io_err)?;
+    let copied = io::copy(rest, &mut q).map_err(io_err)?;
+    q.sync_all().map_err(io_err)?;
+    Ok(line.len() + copied as usize)
 }
 
 /// The side file torn tails are moved to.
