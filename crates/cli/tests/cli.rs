@@ -140,3 +140,15 @@ fn huge_finite_durations_exit_1_without_allocating() {
         assert!(!stderr.contains("memory allocation"), "{stderr}");
     }
 }
+
+/// A fleet horizon past the closed loop's step bound is refused before
+/// any vehicle is submitted, instead of reporting every vehicle failed.
+#[test]
+fn fleet_with_a_huge_duration_exits_1_before_fan_out() {
+    let args = ["fleet", "--vehicles", "2", "--duration", "1e12"];
+    let out = hcperf(&args, Duration::from_secs(30));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.contains("10^7 physics steps"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+}

@@ -147,6 +147,24 @@ struct GammaScratch {
     skip: Vec<bool>,
     /// Candidate γ values for the critical-point sweep.
     points: Vec<f64>,
+    /// Work counted by `rank` and `feasible`, in test builds only.
+    #[cfg(test)]
+    tally: Tally,
+}
+
+/// The γ kernels' work, counted in test builds so property tests can
+/// bound it on generated queues.
+#[cfg(test)]
+#[derive(Debug, Clone, Default)]
+struct Tally {
+    /// `rank` calls (γ probes).
+    probes: usize,
+    /// Probes that repaired the previous order instead of sorting.
+    repairs: usize,
+    /// `feasible` calls.
+    walks: usize,
+    /// Jobs `feasible` visited, summed over its calls.
+    visits: usize,
 }
 
 impl GammaScratch {
@@ -180,6 +198,10 @@ impl GammaScratch {
     /// with one insertion pass, `O(n + inversions)`.
     // hcperf-lint: hot-path-root
     fn rank(&mut self, gamma: f64, full: bool) {
+        #[cfg(test)]
+        {
+            self.tally.probes += 1;
+        }
         for ((k, &p), &l) in self.key.iter_mut().zip(&self.prio).zip(&self.laxity) {
             *k = gamma * p + l;
         }
@@ -197,6 +219,10 @@ impl GammaScratch {
                 key[a].total_cmp(&key[b]).then_with(|| id[a].cmp(&id[b]))
             });
         } else {
+            #[cfg(test)]
+            {
+                self.tally.repairs += 1;
+            }
             for i in 1..self.order.len() {
                 let moving = self.order[i];
                 let mut j = i;
@@ -212,9 +238,17 @@ impl GammaScratch {
     /// The Eq. 11 feasibility walk over the current ranking: every
     /// non-skipped job must be able to start early enough.
     // hcperf-lint: hot-path-root
-    fn feasible(&self, now: f64, base: f64, n_p: f64) -> bool {
+    fn feasible(&mut self, now: f64, base: f64, n_p: f64) -> bool {
+        #[cfg(test)]
+        {
+            self.tally.walks += 1;
+        }
         let mut higher_work = 0.0;
         for &i in &self.order {
+            #[cfg(test)]
+            {
+                self.tally.visits += 1;
+            }
             // `order` is rebuilt alongside the parallel vectors, so the
             // lookups cannot miss; checked access keeps the hot path
             // panic-free regardless.
@@ -915,6 +949,57 @@ mod tests {
                 dps.scratch.skip.capacity(),
             )
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The γ kernels' work on generated queues: one full sort per
+        /// recompute, at most `2 + iterations` probes per bisection
+        /// recompute, and at most `n` jobs visited per `feasible` call.
+        #[test]
+        fn gamma_kernels_stay_within_their_work_bounds(
+            jobs in proptest::collection::vec((0usize..4, 5.0f64..120.0), 1..40),
+            exec in proptest::collection::vec(0.5f64..15.0, 4..5),
+            processors in 1usize..5,
+            iterations in 0u32..32,
+            exact in proptest::arbitrary::any::<bool>(),
+            strict in proptest::arbitrary::any::<bool>(),
+        ) {
+            let queue: Vec<Job> = jobs
+                .iter()
+                .enumerate()
+                .map(|(i, &(task, deadline_ms))| job(i as u64, task, 0.0, deadline_ms))
+                .collect();
+            let n = queue.len();
+            let mut fx = Fixture::new(queue, 1.0, processors);
+            fx.observed = exec.iter().map(|&ms| SimSpan::from_millis(ms)).collect();
+            let search = if exact {
+                GammaSearch::CriticalPoints
+            } else {
+                GammaSearch::Bisection { iterations }
+            };
+            let config = DpsConfig {
+                search,
+                strict_eq11: strict,
+                ..Default::default()
+            };
+            let mut dps = DynamicPriorityScheduler::new(config);
+            dps.set_nominal_u(0.1);
+            // Twice: a warm scratch must not carry work over.
+            for _ in 0..2 {
+                dps.scratch.tally = Tally::default();
+                dps.recompute_gamma(&fx.ctx());
+                let t = &dps.scratch.tally;
+                proptest::prop_assert_eq!(t.probes - t.repairs, 1, "full sorts: {:?}", t);
+                if !exact {
+                    let bound = 2 + iterations as usize;
+                    proptest::prop_assert!(t.probes <= bound, "probes: {:?}", t);
+                }
+                proptest::prop_assert!(t.walks >= 1, "{:?}", t);
+                proptest::prop_assert!(t.visits <= n * t.walks, "visits (n = {}): {:?}", n, t);
+            }
+        }
     }
 
     #[test]

@@ -14,11 +14,12 @@
 
 use std::collections::BTreeMap;
 
-use crate::parse::{CallSite, FnItem, LoopSite, ParsedFile, Receiver};
+use crate::parse::{CallSite, FnItem, ParsedFile, Receiver};
 
 /// One call site of a node together with its resolved candidate callees —
-/// the per-site view the WCET pass needs (a callee's cost multiplies by
-/// the loops enclosing the *site*, so collapsing to `edges` loses it).
+/// the per-site view the det-flow pass needs (taint reaching a call
+/// depends on the sources and sanitizers *before the site*, so
+/// collapsing to `edges` loses it).
 #[derive(Debug, Clone)]
 pub struct SiteEdge<'a> {
     /// The call site as parsed.
@@ -37,8 +38,6 @@ pub struct CallGraph<'a> {
     pub edges: Vec<Vec<usize>>,
     /// `sites[i]` are the call sites of `nodes[i]` with per-site resolution.
     pub sites: Vec<Vec<SiteEdge<'a>>>,
-    /// `loops[i]` are the loops of `nodes[i]`, in source order.
-    pub loops: Vec<&'a [LoopSite]>,
 }
 
 impl<'a> CallGraph<'a> {
@@ -47,12 +46,10 @@ impl<'a> CallGraph<'a> {
     pub fn build(files: impl IntoIterator<Item = &'a ParsedFile>) -> CallGraph<'a> {
         let mut nodes = Vec::new();
         let mut site_lists = Vec::new();
-        let mut loops = Vec::new();
         for file in files {
-            for ((item, sites), fn_loops) in file.fns.iter().zip(&file.calls).zip(&file.loops) {
+            for (item, sites) in file.fns.iter().zip(&file.calls) {
                 nodes.push(item);
                 site_lists.push(sites);
-                loops.push(fn_loops.as_slice());
             }
         }
         let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -80,7 +77,6 @@ impl<'a> CallGraph<'a> {
             nodes,
             edges,
             sites: site_edges,
-            loops,
         }
     }
 
@@ -268,7 +264,7 @@ fn root() { middle(1); }
     }
 
     #[test]
-    fn per_site_resolution_is_retained_for_wcet() {
+    fn per_site_resolution_is_retained_for_det_flow() {
         let p = parsed(&[(
             "a.rs",
             "\
@@ -284,7 +280,6 @@ fn caller(n: usize) {
         assert_eq!(g.sites[caller].len(), 2);
         assert_eq!(g.sites[caller][0].callees, vec![idx(&g, "leaf")]);
         assert!(g.sites[caller][1].callees.is_empty(), "external: no edge");
-        assert_eq!(g.loops[caller].len(), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Hot-path purity and panic-surface analysis.
 //!
-//! HCPerf's dispatch/γ-search path must stay allocation-free and keep a
-//! minimal panic surface. This pass enforces both
+//! HCPerf's dispatch/γ-search path must stay allocation-free, keep a
+//! minimal panic surface and never block. This pass enforces all three
 //! *structurally*: functions tagged `// hcperf-lint: hot-path-root` seed a
 //! reachability query over the [`crate::callgraph`] call graph, and every
 //! function in the reachable set is scanned for
@@ -10,14 +10,18 @@
 //!   `Vec::new`, `Box::new`, `to_vec`, `collect`, `format!`,
 //!   `String::from`, `.clone()`;
 //! * **[`Rule::HotPathPanic`]** — `unwrap`/`expect`/`panic!`-family macros
-//!   and slice indexing (`x[i]`), each a potential panic.
+//!   and slice indexing (`x[i]`), each a potential panic;
+//! * **[`Rule::HotPathBlocking`]** — locks, channel `recv`, sleeps, file and
+//!   socket I/O and printing, each of which can stall dispatch for an
+//!   unbounded wall-clock time. Every unwaived site is a finding.
 //!
-//! Both rules ratchet per `(rule, file)` count in the `hot-path` rows of
-//! [`crate::ratchet::RATCHET_PATH`], which may only shrink. The call
-//! graph over-approximates (see `callgraph` docs), so the ratchet also
-//! absorbs same-named functions that are not truly on a hot path;
-//! individual sites can be excused with the ordinary
-//! `// hcperf-lint: allow(hot-path-alloc): <reason>` waiver syntax.
+//! The alloc and panic rules ratchet per `(rule, file)` count in the
+//! `hot-path` rows of [`crate::ratchet::RATCHET_PATH`], which may only
+//! shrink. The call graph over-approximates (see `callgraph` docs), so
+//! the ratchet also absorbs same-named functions that are not truly on a
+//! hot path; individual sites of any of the three rules can be excused
+//! with the ordinary `// hcperf-lint: allow(hot-path-alloc): <reason>`
+//! waiver syntax.
 
 use crate::ratchet::{Analysis, Comparison, Rows, Value};
 use crate::report::{json_escape, sort_findings, Finding, Rule, Section};
@@ -45,6 +49,27 @@ const PANIC_PATTERNS: [&str; 6] = [
     "unimplemented!",
 ];
 
+const BLOCKING_PATTERNS: [&str; 18] = [
+    "Mutex",
+    "RwLock",
+    ".lock(",
+    ".recv(",
+    ".recv_timeout(",
+    "thread::sleep",
+    "println!",
+    "eprintln!",
+    "print!",
+    "eprint!",
+    "File::open",
+    "File::create",
+    "OpenOptions",
+    "TcpStream",
+    "UdpSocket",
+    "stdin(",
+    "stdout(",
+    "read_to_string",
+];
+
 /// Result of the hot-path analysis.
 #[derive(Debug)]
 pub struct HotPath {
@@ -52,8 +77,10 @@ pub struct HotPath {
     pub roots: Vec<String>,
     /// Qualified names of every reachable function, in graph order.
     pub reachable: Vec<String>,
-    /// Every unwaived violation site, with its exact line.
+    /// Every unwaived alloc/panic site, with its exact line.
     pub sites: Vec<Finding>,
+    /// Every unwaived blocking site; each one fails the section.
+    pub blocking: Vec<Finding>,
     /// Sites suppressed by `allow(hot-path-…)` waivers.
     pub waived: Vec<Finding>,
 }
@@ -63,15 +90,22 @@ pub struct HotPath {
 fn scan_body(file: &MaskedFile, body: (usize, usize)) -> Vec<(Rule, usize, String)> {
     let (masked, lines) = (file.masked.as_str(), &file.lines);
     let bytes = masked.as_bytes();
-    let words = Words::new(ALLOC_PATTERNS.into_iter().chain(PANIC_PATTERNS));
+    let words = Words::new(
+        ALLOC_PATTERNS
+            .into_iter()
+            .chain(PANIC_PATTERNS)
+            .chain(BLOCKING_PATTERNS),
+    );
     let mut sites: Vec<(Rule, usize, String)> = words
         .find(masked, body)
         .into_iter()
         .map(|(k, at)| {
             let rule = if k < ALLOC_PATTERNS.len() {
                 Rule::HotPathAlloc
-            } else {
+            } else if k < ALLOC_PATTERNS.len() + PANIC_PATTERNS.len() {
                 Rule::HotPathPanic
+            } else {
+                Rule::HotPathBlocking
             };
             (
                 rule,
@@ -102,35 +136,42 @@ pub fn analyze(scope: &Scope<'_>) -> HotPath {
     let graph = &scope.graph;
     let reachable = graph.reachable_from_roots();
     let mut sites = Vec::new();
+    let mut blocking = Vec::new();
     let mut waived = Vec::new();
     for &idx in &reachable {
         let node = &graph.nodes[idx];
         let Some(body) = node.body else { continue };
         let src = scope.file_of(idx);
         for (rule, line, construct) in scan_body(&src.masked, body) {
-            let what = if rule == Rule::HotPathAlloc {
-                "allocates"
-            } else {
-                "can panic"
+            let (what, fix) = match rule {
+                Rule::HotPathAlloc => ("allocates", "hot paths must stay pure — restructure"),
+                Rule::HotPathPanic => ("can panic", "hot paths must stay pure — restructure"),
+                _ => (
+                    "can block",
+                    "the dispatch path must not wait on I/O, locks, channels or sleeps — move it out",
+                ),
             };
             let message = format!(
-                "`{construct}` {what} in hot-path-reachable fn `{}`; hot paths must stay \
-                 pure — restructure, or waive with `hcperf-lint: allow({rule})` and a reason",
+                "`{construct}` {what} in hot-path-reachable fn `{}`; {fix}, or waive with \
+                 `hcperf-lint: allow({rule})` and a reason",
                 node.qualified(),
             );
             let f = Finding::at(rule, src, line, message);
             match src.masked.waiver(rule, line) {
                 Some(reason) => waived.push(f.waived(Some(reason))),
+                None if rule == Rule::HotPathBlocking => blocking.push(f),
                 None => sites.push(f),
             }
         }
     }
     sort_findings(&mut sites);
+    sort_findings(&mut blocking);
     let names = |idx: &[usize]| idx.iter().map(|&i| graph.nodes[i].qualified()).collect();
     HotPath {
         roots: names(&graph.roots()),
         reachable: names(&reachable),
         sites,
+        blocking,
         waived,
     }
 }
@@ -152,7 +193,7 @@ impl HotPath {
 
     /// The `hot_path` section. Every unwaived site in a grown row becomes
     /// a finding: the exact lines point the author at the sites, new and
-    /// recorded alike.
+    /// recorded alike. Every unwaived blocking site is a finding.
     #[must_use]
     pub fn section(self, cmp: &Comparison, recorded: &Rows) -> Section {
         let cmp = cmp.of(Analysis::HotPath);
@@ -162,7 +203,9 @@ impl HotPath {
                 .iter()
                 .any(|g| g.name() == f.rule.name() && g.path() == f.path)
         };
-        let findings: Vec<Finding> = self.sites.into_iter().filter(grown).collect();
+        let mut findings: Vec<Finding> = self.sites.into_iter().filter(grown).collect();
+        findings.extend(self.blocking);
+        sort_findings(&mut findings);
         let summary = format!(
             "hcperf-lint hot-path: {} roots, {} reachable fns, {} findings, {} waived, sites {current}/{}",
             self.roots.len(),
@@ -311,6 +354,42 @@ fn f(xs: &[u32]) -> [u8; 4] {
         assert!(cmp.growth.is_empty());
         assert_eq!(cmp.shrink.len(), 1);
         assert_eq!(shrunk.section(&cmp, &recorded).exit_code, exit::CLEAN);
+    }
+
+    #[test]
+    fn blocking_constructs_in_reachable_code_are_findings() {
+        let src = "\
+// hcperf-lint: hot-path-root
+fn root() {
+    let m = std::sync::Mutex::new(0u32);
+    let _ = m.lock();
+    println!(\"dispatch\");
+}
+
+// far enough below the marker not to inherit it
+fn cold() {
+    std::thread::sleep(d);
+}
+";
+        let file = SourceFile::new("crates/core/src/k.rs", "crates/core/src", src.to_owned());
+        let hot = analyze(&Scope::new([&file]));
+        let lines: Vec<(usize, &str)> = hot
+            .blocking
+            .iter()
+            .map(|f| (f.line, f.rule.name()))
+            .collect();
+        // The Mutex type, `.lock(` and `println!`; the unreachable sleep
+        // is not scanned.
+        let want = [
+            (3, "hot-path-blocking"),
+            (4, "hot-path-blocking"),
+            (5, "hot-path-blocking"),
+        ];
+        assert_eq!(lines, want);
+        assert!(hot.rows().is_empty(), "blocking sites are not ratchet rows");
+        let section = hot.section(&Comparison::default(), &Rows::new());
+        assert_eq!(section.exit_code, exit::FINDINGS);
+        assert_eq!(section.findings.len(), 3);
     }
 
     #[test]

@@ -18,37 +18,27 @@
 //!    name + arity) and computes the set reachable from functions marked
 //!    `// hcperf-lint: hot-path-root`; allocation
 //!    ([`report::Rule::HotPathAlloc`]) and panic
-//!    ([`report::Rule::HotPathPanic`]) sites in it are counted.
-//! 3. **`eq_coverage`** ([`eqcov`]) — each of the paper's Eq. 2–12 needs a
-//!    non-test implementation tag *and* a test tag; tags naming undefined
-//!    equations are orphans ([`report::Rule::EqCoverage`]).
-//! 4. **`wcet`** ([`wcet`]) — every reachable loop is classified on a
-//!    lattice (constant / input-bounded / unknown, [`parse::LoopClass`]);
-//!    costs propagate over the call graph in a symbolic
-//!    `O(n^d log^l n)` abstraction ([`wcet::Cost`]) into one certificate
-//!    per root. Unknown loops ([`report::Rule::WcetUnbounded`]) and
+//!    ([`report::Rule::HotPathPanic`]) sites in it are counted, and
 //!    blocking constructs ([`report::Rule::HotPathBlocking`]) are findings
 //!    unless waived.
-//! 5. **`det_flow`** ([`detflow`]) — nondeterminism sources (unordered
+//! 3. **`det_flow`** ([`detflow`]) — nondeterminism sources (unordered
 //!    iteration, wall-clock values, channel arrival order, thread
 //!    identity, env reads, address-seeded hashing) flow to fixpoint
 //!    through per-function summaries into `// hcperf-lint:
 //!    det-sink(<name>)` fns, with sanitizers (`BTree*` rebuilds, `sort*`,
 //!    `det-sanitizer` fns) killing taint; each sink gets an exposure
 //!    certificate, and findings carry the source→…→sink chain.
-//! 6. **`schedulability`** ([`sched`]) — every task graph in
+//! 4. **`schedulability`** ([`sched`]) — every task graph in
 //!    `taskgraph::graphs` and every scenario preset must have positive
 //!    Eq. 9 deadlines and a non-empty strict Eq. 11 γ range at its
-//!    reference operating point (decided by `dps::reference`), and every
-//!    kernel its budget relies on needs a bounded certificate from the
-//!    same run's `wcet` section.
+//!    reference operating point (decided by `dps::reference`).
 //!
-//! The hot-path/WCET graph spans the deterministic crates; det-flow's
-//! adds the harness, store, CLI and bench trees where the sinks live.
-//! They stay two graphs because name-based resolution over the union
-//! adds false hot-path edges.
+//! The hot-path graph spans the deterministic crates; det-flow's adds the
+//! harness, store, CLI and bench trees where the sinks live. They stay
+//! two graphs because name-based resolution over the union adds false
+//! hot-path edges.
 //!
-//! Counts and certificates form one [`ratchet`] over
+//! Counts and det-flow certificates form one [`ratchet`] over
 //! `crates/lint/ratchet.txt`: rows keyed by (analysis, name, path) that
 //! may only shrink. Intentional sites carry
 //! `// hcperf-lint: allow(<rule>): <reason>` waivers. Each section has
@@ -66,7 +56,6 @@
 
 pub mod callgraph;
 pub mod detflow;
-pub mod eqcov;
 pub mod hotpath;
 pub mod parse;
 pub mod pass;
@@ -75,7 +64,6 @@ pub mod report;
 pub mod rules;
 pub mod sched;
 pub mod source;
-pub mod wcet;
 pub mod workspace;
 
 pub use pass::{run, Report};

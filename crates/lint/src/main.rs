@@ -14,8 +14,8 @@ USAGE:
     hcperf-lint [--json] [--annotations] [--root <path>] [--update-baselines]
 
 Loads the workspace once and reports one section per analysis: source
-rules, hot_path, eq_coverage, wcet, det_flow and schedulability. Counts
-and certificates ratchet against crates/lint/ratchet.txt.
+rules, hot_path, det_flow and schedulability. Counts and det-flow
+certificates ratchet against crates/lint/ratchet.txt.
 
 OPTIONS:
     --json              machine-readable report (every section)

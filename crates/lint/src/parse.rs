@@ -82,38 +82,8 @@ pub struct CallSite {
     /// 1-based line of the call.
     pub line: usize,
     /// Byte offset of the callee identifier in the masked text — lets the
-    /// WCET pass locate the call inside enclosing loop spans.
+    /// det-flow pass order the call among the body's sources and sanitizers.
     pub offset: usize,
-}
-
-/// Lexical classification of one loop's bound (the WCET pass's lattice).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LoopClass {
-    /// `for _ in <lit>..<lit>` — both bounds numeric literals.
-    Constant,
-    /// Iteration count tied to an input: `for x in xs`, `for i in 0..n`,
-    /// a counter `while` whose condition variable is mutated in the body,
-    /// or `while let … = q.pop()/it.next()` draining a collection. The
-    /// symbol is the bounding expression, for diagnostics.
-    InputBounded(String),
-    /// Nothing lexically bounds it: bare `loop`, convergence `while`, …
-    /// Becomes a `wcet-unbounded` finding unless waived (a waiver demotes
-    /// it to input-bounded: the author asserts a bound the lexer cannot).
-    Unknown,
-}
-
-/// One loop inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoopSite {
-    /// Bound classification.
-    pub class: LoopClass,
-    /// 1-based line of the loop keyword.
-    pub line: usize,
-    /// Loop keyword (`for` / `while` / `while let` / `loop`).
-    pub keyword: &'static str,
-    /// Byte range of the whole loop (keyword through closing `}`) in the
-    /// masked text; containment over these spans gives loop nesting.
-    pub span: (usize, usize),
 }
 
 /// Parse result for one file: items plus, per item, its call sites.
@@ -123,8 +93,6 @@ pub struct ParsedFile {
     pub fns: Vec<FnItem>,
     /// Call sites of `fns[i]` live in `calls[i]`.
     pub calls: Vec<Vec<CallSite>>,
-    /// Loops of `fns[i]` live in `loops[i]`, in source order.
-    pub loops: Vec<Vec<LoopSite>>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -408,222 +376,7 @@ fn scan_calls(
     calls
 }
 
-/// Finds the first token at or after `from` (before `to`) that is a `{` at
-/// zero paren/bracket nesting depth — the loop body opener after a `for`
-/// iterable or `while` condition. Struct literals cannot appear unbracketed
-/// in those positions, so the first top-level `{` is the body.
-fn find_body_open(toks: &[Tok], from: usize, to: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (k, t) in toks.iter().enumerate().take(to).skip(from) {
-        match t.kind {
-            TokKind::Punct(b'(') | TokKind::Punct(b'[') => depth += 1,
-            TokKind::Punct(b')') | TokKind::Punct(b']') => depth = depth.saturating_sub(1),
-            TokKind::Punct(b'{') if depth == 0 => return Some(k),
-            _ => {}
-        }
-    }
-    None
-}
-
-/// True when `toks[at]` is the identifier `word`.
-fn is_word(toks: &[Tok], at: usize, masked: &str, word: &str) -> bool {
-    toks.get(at)
-        .is_some_and(|t| t.kind == TokKind::Ident && text(masked, t) == word)
-}
-
-/// Classifies a `for` iterable token range (`in` … body `{`).
-fn classify_iterable(toks: &[Tok], from: usize, to: usize, masked: &str) -> LoopClass {
-    if from >= to {
-        return LoopClass::Unknown;
-    }
-    // `<lit> .. <lit>` (or `..=`): a constant-bounded counted loop.
-    let all_range_lits = {
-        let slice = &toks[from..to];
-        let nums = slice.iter().filter(|t| t.kind == TokKind::Num).count();
-        let dots = slice
-            .iter()
-            .filter(|t| t.kind == TokKind::Punct(b'.'))
-            .count();
-        let eqs = slice
-            .iter()
-            .filter(|t| t.kind == TokKind::Punct(b'='))
-            .count();
-        nums == 2 && dots == 2 && slice.len() == nums + dots + eqs
-    };
-    if all_range_lits {
-        return LoopClass::Constant;
-    }
-    let expr = masked[toks[from].start..toks[to - 1].end].trim();
-    // `lo..hi`: the upper bound names the input; otherwise the whole
-    // iterable expression is the bound (a slice/Vec/iterator adapter).
-    let symbol = match expr.split_once("..") {
-        Some((_, hi)) if !hi.trim_start_matches('=').trim().is_empty() => {
-            hi.trim_start_matches('=').trim().to_owned()
-        }
-        _ => expr.to_owned(),
-    };
-    LoopClass::InputBounded(compact_symbol(&symbol))
-}
-
-/// Trims a bounding expression for diagnostics.
-fn compact_symbol(s: &str) -> String {
-    let s: String = s.split_whitespace().collect::<Vec<_>>().join(" ");
-    if s.len() > 48 {
-        let mut end = 48;
-        while !s.is_char_boundary(end) {
-            end -= 1;
-        }
-        format!("{}…", &s[..end])
-    } else {
-        s
-    }
-}
-
-/// The name of the last method called in `toks[from..to]` (the ident after
-/// the final top-level `.`), if any.
-fn last_method_name<'a>(toks: &[Tok], from: usize, to: usize, masked: &'a str) -> Option<&'a str> {
-    let mut last = None;
-    for k in from..to {
-        if toks[k].kind == TokKind::Punct(b'.')
-            && toks.get(k + 1).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            last = Some(text(masked, &toks[k + 1]));
-        }
-    }
-    last
-}
-
-/// True when the identifier `var` receives an assignment inside the body
-/// token range: `var += …`, `var -= …`, or a plain `var = …` (not `==`).
-fn body_mutates(toks: &[Tok], from: usize, to: usize, masked: &str, var: &str) -> bool {
-    for k in from..to {
-        if !(toks[k].kind == TokKind::Ident && text(masked, &toks[k]) == var) {
-            continue;
-        }
-        // `x.var = …` is a field store on another binding, not the counter.
-        if k > 0 && toks[k - 1].kind == TokKind::Punct(b'.') {
-            continue;
-        }
-        match (
-            toks.get(k + 1).map(|t| t.kind),
-            toks.get(k + 2).map(|t| t.kind),
-        ) {
-            (Some(TokKind::Punct(b'+')), Some(TokKind::Punct(b'=')))
-            | (Some(TokKind::Punct(b'-')), Some(TokKind::Punct(b'='))) => return true,
-            (Some(TokKind::Punct(b'=')), next) if next != Some(TokKind::Punct(b'=')) => {
-                return true;
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
-/// Extracts every loop in the body token slice `toks[from..to]`, classified
-/// by the lexical bound heuristics described on [`LoopClass`].
-fn scan_loops(
-    toks: &[Tok],
-    from: usize,
-    to: usize,
-    masked: &str,
-    lines: &LineIndex,
-) -> Vec<LoopSite> {
-    let mut loops = Vec::new();
-    for k in from..to {
-        if toks[k].kind != TokKind::Ident {
-            continue;
-        }
-        let word = text(masked, &toks[k]);
-        let site = match word {
-            // `for<'a>` higher-ranked bounds are types, not loops.
-            "for" if !is_punct(toks, k + 1, b'<') => {
-                let in_kw = (k + 1..to).find(|&j| {
-                    is_word(toks, j, masked, "in") && find_body_open(toks, k + 1, j).is_none()
-                });
-                let Some(in_kw) = in_kw else { continue };
-                let Some(open) = find_body_open(toks, in_kw + 1, to) else {
-                    continue;
-                };
-                let class = classify_iterable(toks, in_kw + 1, open, masked);
-                Some((class, open, "for"))
-            }
-            "while" if is_word(toks, k + 1, masked, "let") => {
-                let Some(open) = find_body_open(toks, k + 2, to) else {
-                    continue;
-                };
-                // `while let … = q.pop()/it.next()`: each iteration drains
-                // the source, so the source's length bounds the loop.
-                let eq = (k + 2..open).find(|&j| {
-                    toks[j].kind == TokKind::Punct(b'=')
-                        && !is_punct(toks, j + 1, b'=')
-                        && toks.get(j.wrapping_sub(1)).is_none_or(|t| {
-                            !matches!(t.kind, TokKind::Punct(b'=' | b'!' | b'<' | b'>'))
-                        })
-                });
-                let class = match eq.and_then(|j| last_method_name(toks, j + 1, open, masked)) {
-                    Some(m) if m.starts_with("pop") || m == "next" => {
-                        let rhs =
-                            eq.map_or("", |j| masked[toks[j + 1].start..toks[open - 1].end].trim());
-                        LoopClass::InputBounded(compact_symbol(rhs))
-                    }
-                    _ => LoopClass::Unknown,
-                };
-                Some((class, open, "while let"))
-            }
-            "while" => {
-                let Some(open) = find_body_open(toks, k + 1, to) else {
-                    continue;
-                };
-                let close = match_braces(toks, open);
-                // A counter loop: some condition variable is stepped in the
-                // body (`while j > 0 { … j -= 1 }`, `while head < q.len()
-                // { … head += 1 }`). The step direction is not checked —
-                // that is the author's side of the bargain.
-                let counter = (k + 1..open).find_map(|j| {
-                    (toks[j].kind == TokKind::Ident)
-                        .then(|| text(masked, &toks[j]))
-                        .filter(|v| {
-                            !KEYWORDS.contains(v) && body_mutates(toks, open, close, masked, v)
-                        })
-                });
-                let class = match counter {
-                    Some(v) => LoopClass::InputBounded(v.to_owned()),
-                    None => {
-                        // `while xs.len() > k { xs.pop…() }`: shrinking
-                        // collection, bounded by its starting length.
-                        let cond = &masked[toks[k + 1].start..toks[open - 1].end];
-                        let pops = (open..close).any(|j| {
-                            toks[j].kind == TokKind::Ident
-                                && text(masked, &toks[j]).starts_with("pop")
-                                && j > 0
-                                && toks[j - 1].kind == TokKind::Punct(b'.')
-                        });
-                        if cond.contains(".len") && pops {
-                            LoopClass::InputBounded(compact_symbol(cond.trim()))
-                        } else {
-                            LoopClass::Unknown
-                        }
-                    }
-                };
-                Some((class, open, "while"))
-            }
-            "loop" if is_punct(toks, k + 1, b'{') => Some((LoopClass::Unknown, k + 1, "loop")),
-            _ => None,
-        };
-        if let Some((class, open, keyword)) = site {
-            let close = match_braces(toks, open);
-            loops.push(LoopSite {
-                class,
-                line: lines.line_of(toks[k].start),
-                keyword,
-                span: (toks[k].start, toks[close].end),
-            });
-        }
-    }
-    loops
-}
-
-/// Parses one masked file into items, call sites and loops. A
+/// Parses one masked file into items and call sites. A
 /// `hot-path-root`, `det-sink(<name>)` or `det-sanitizer(<name>)` marker
 /// ([`crate::source::MaskedFile`]) attaches to the next `fn` item within
 /// 3 lines below it (attributes may sit between, doc comments should go
@@ -636,7 +389,6 @@ pub fn parse_file_marked(path: &str, m: &crate::source::MaskedFile) -> ParsedFil
     let lines = &m.lines;
     let mut fns = Vec::new();
     let mut calls = Vec::new();
-    let mut loops = Vec::new();
     // Innermost pending impl/trait subject per open brace.
     let mut scopes: Vec<Option<String>> = Vec::new();
     let mut pending: Option<Option<String>> = None;
@@ -668,12 +420,8 @@ pub fn parse_file_marked(path: &str, m: &crate::source::MaskedFile) -> ParsedFil
                         let sites = body_range
                             .map(|(from, to)| scan_calls(&toks, from, to, masked, lines))
                             .unwrap_or_default();
-                        let loop_sites = body_range
-                            .map(|(from, to)| scan_loops(&toks, from, to, masked, lines))
-                            .unwrap_or_default();
                         fns.push(item);
                         calls.push(sites);
-                        loops.push(loop_sites);
                     }
                     i = next;
                     continue;
@@ -691,7 +439,7 @@ pub fn parse_file_marked(path: &str, m: &crate::source::MaskedFile) -> ParsedFil
             _ => i += 1,
         }
     }
-    ParsedFile { fns, calls, loops }
+    ParsedFile { fns, calls }
 }
 
 /// Parses a `fn` item starting at the `fn` keyword token. Returns the item,
@@ -880,125 +628,5 @@ mod tests {
         let p = parse(src);
         assert_eq!(p.calls[0][0].receiver, Receiver::Method);
         assert_eq!(p.calls[0][1].receiver, Receiver::SelfMethod);
-    }
-
-    fn loop_shapes(src: &str) -> Vec<(LoopClass, usize, &'static str)> {
-        let p = parse(src);
-        p.loops
-            .iter()
-            .flatten()
-            .map(|l| (l.class.clone(), l.line, l.keyword))
-            .collect()
-    }
-
-    #[test]
-    fn constant_range_loop_is_constant() {
-        let got = loop_shapes("fn f() { for _ in 0..4 { work(); } for _ in 0..=7 { work(); } }");
-        assert_eq!(got[0].0, LoopClass::Constant, "{got:?}");
-        assert_eq!(got[1].0, LoopClass::Constant, "{got:?}");
-    }
-
-    #[test]
-    fn input_ranges_and_iterators_are_input_bounded() {
-        let src = "\
-fn f(xs: &[u32], n: usize) {
-    for i in 0..n { touch(i); }
-    for i in 1..xs.len() { touch(i); }
-    for x in xs.iter().enumerate() { touch(x); }
-}
-";
-        let got = loop_shapes(src);
-        assert_eq!(got[0].0, LoopClass::InputBounded("n".to_owned()));
-        assert_eq!(got[1].0, LoopClass::InputBounded("xs.len()".to_owned()));
-        assert_eq!(
-            got[2].0,
-            LoopClass::InputBounded("xs.iter().enumerate()".to_owned())
-        );
-    }
-
-    #[test]
-    fn counter_while_loops_are_input_bounded() {
-        let src = "\
-fn f(n: usize, q: &[u32]) {
-    let mut j = n;
-    while j > 0 && ahead(j) { j -= 1; }
-    let mut head = 0;
-    while head < q.len() { head += 1; }
-    let mut t = 0;
-    while t < until { t = t + step; }
-}
-";
-        let got = loop_shapes(src);
-        assert_eq!(got[0].0, LoopClass::InputBounded("j".to_owned()));
-        assert_eq!(got[1].0, LoopClass::InputBounded("head".to_owned()));
-        assert_eq!(got[2].0, LoopClass::InputBounded("t".to_owned()));
-    }
-
-    #[test]
-    fn draining_loops_are_input_bounded() {
-        let src = "\
-fn f(stack: &mut Vec<u32>, it: I) {
-    while let Some(t) = stack.pop() { touch(t); }
-    while let Some(x) = it.next() { touch(x); }
-    while buf.len() > cap + 1 { buf.pop_back(); }
-}
-";
-        let got = loop_shapes(src);
-        assert_eq!(got[0].0, LoopClass::InputBounded("stack.pop()".to_owned()));
-        assert_eq!(got[1].0, LoopClass::InputBounded("it.next()".to_owned()));
-        assert!(
-            matches!(&got[2].0, LoopClass::InputBounded(s) if s.contains("buf.len")),
-            "{got:?}"
-        );
-    }
-
-    #[test]
-    fn structurally_unbounded_loops_are_unknown() {
-        let src = "\
-fn f(rx: R) {
-    loop { if done() { break; } }
-    while !converged() { iterate(); }
-    while let Some(m) = rx.recv_msg() { touch(m); }
-}
-";
-        let got = loop_shapes(src);
-        assert_eq!(got[0], (LoopClass::Unknown, 2, "loop"));
-        assert_eq!(got[1], (LoopClass::Unknown, 3, "while"));
-        assert_eq!(got[2], (LoopClass::Unknown, 4, "while let"));
-    }
-
-    #[test]
-    fn nested_loops_all_surface_with_containing_spans() {
-        let src = "\
-fn f(n: usize) {
-    for a in 0..n {
-        for b in 0..n {
-            work(a, b);
-        }
-    }
-}
-";
-        let got = loop_shapes(src);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].1, 2);
-        assert_eq!(got[1].1, 3);
-        let p = parse(src);
-        let (outer, inner) = (&p.loops[0][0], &p.loops[0][1]);
-        assert!(outer.span.0 < inner.span.0 && inner.span.1 < outer.span.1);
-        // The call site sits inside both loop spans.
-        let call = &p.calls[0][0];
-        assert!(outer.span.0 < call.offset && call.offset < inner.span.1);
-    }
-
-    #[test]
-    fn hrtb_for_and_loop_labels_are_not_loops() {
-        let src = "\
-fn f(g: impl for<'a> Fn(&'a u32)) {
-    'outer: for i in 0..3 { if i > 1 { break 'outer; } }
-}
-";
-        let got = loop_shapes(src);
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].0, LoopClass::Constant);
     }
 }

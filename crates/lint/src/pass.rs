@@ -8,15 +8,14 @@ use std::path::Path;
 use crate::ratchet::{self, Rows, RATCHET_PATH};
 use crate::report::{exit, json_escape, render_annotations, Section, SCHEMA_VERSION};
 use crate::workspace::{self, Scope, SourceFile, DETERMINISTIC_CRATES, EXTRA_ROOTS};
-use crate::{detflow, eqcov, hotpath, rules, sched, wcet};
+use crate::{detflow, hotpath, rules, sched};
 
 /// The report of one run: a section per analysis, in a fixed order.
 #[derive(Debug)]
 pub struct Report {
     /// `.rs` files loaded.
     pub files_scanned: usize,
-    /// `source`, `hot_path`, `eq_coverage`, `wcet`, `det_flow`,
-    /// `schedulability`.
+    /// `source`, `hot_path`, `det_flow`, `schedulability`.
     pub sections: Vec<Section>,
     /// Every measured ratchet row (what `--update-baselines` writes).
     pub rows: Rows,
@@ -43,7 +42,6 @@ pub fn run(root: &Path, against_file: bool) -> io::Result<Report> {
     let source = rules::analyze(&files);
     let hot_scope = Scope::new(files.iter().filter(|f| f.in_tree(&DETERMINISTIC_CRATES)));
     let hot = hotpath::analyze(&hot_scope);
-    let wcet = wcet::analyze(&hot_scope);
     let mut det_files: Vec<&SourceFile> = files
         .iter()
         .filter(|f| f.in_tree(&DETERMINISTIC_CRATES) || f.in_tree(&EXTRA_ROOTS))
@@ -54,19 +52,15 @@ pub fn run(root: &Path, against_file: bool) -> io::Result<Report> {
 
     let mut rows = source.rows();
     rows.extend(hot.rows());
-    rows.extend(wcet.rows());
     rows.extend(det.rows());
     let recorded = recorded.unwrap_or_else(|| rows.clone());
     let cmp = ratchet::compare(&rows, &recorded);
 
-    let schedulability = sched::section(&wcet.certs);
     let sections = vec![
         source.section(&cmp, &recorded),
         hot.section(&cmp, &recorded),
-        eqcov::analyze(&files),
-        wcet.section(&cmp, &hot_scope),
         det.section(&cmp, &det_scope),
-        schedulability,
+        sched::section(),
     ];
     Ok(Report {
         files_scanned: files.len(),

@@ -1,14 +1,12 @@
 //! The one ratchet: every measured quantity that may only shrink, in one
 //! checked-in file, [`RATCHET_PATH`]. A row is keyed by
 //! `(analysis, name, path)` and holds an ordered [`Value`]: unwrap and
-//! hot-path site counts, WCET cost certificates, det-flow exposure.
+//! hot-path site counts, det-flow exposure.
 //! Counts of zero are not rows. A measured row missing from the file is
-//! growth (a new unwrap file, root or sink must be recorded
+//! growth (a new unwrap file, hot-path row or sink must be recorded
 //! deliberately); a recorded row that is no longer measured is shrink.
 
 use std::collections::BTreeMap;
-
-use crate::wcet::Cost;
 
 /// Workspace-relative path of the checked-in ratchet file.
 pub const RATCHET_PATH: &str = "crates/lint/ratchet.txt";
@@ -20,19 +18,12 @@ pub enum Analysis {
     Unwrap,
     /// Hot-path allocation / panic counts per `(rule, file)`.
     HotPath,
-    /// Per-root WCET certificates.
-    Wcet,
     /// Per-sink det-flow certificates.
     DetFlow,
 }
 
 impl Analysis {
-    const ALL: [Analysis; 4] = [
-        Analysis::Unwrap,
-        Analysis::HotPath,
-        Analysis::Wcet,
-        Analysis::DetFlow,
-    ];
+    const ALL: [Analysis; 3] = [Analysis::Unwrap, Analysis::HotPath, Analysis::DetFlow];
 
     /// The name in the file's first column.
     #[must_use]
@@ -40,7 +31,6 @@ impl Analysis {
         match self {
             Analysis::Unwrap => "unwrap",
             Analysis::HotPath => "hot-path",
-            Analysis::Wcet => "wcet",
             Analysis::DetFlow => "det-flow",
         }
     }
@@ -48,7 +38,6 @@ impl Analysis {
     fn parse_value(self, s: &str) -> Option<Value> {
         match self {
             Analysis::Unwrap | Analysis::HotPath => s.parse().ok().map(Value::Count),
-            Analysis::Wcet => Cost::parse(s).map(Value::Cost),
             Analysis::DetFlow => match s {
                 "clean" => Some(Value::Taints(0)),
                 _ => match s.strip_prefix("tainted:")?.parse() {
@@ -66,8 +55,6 @@ impl Analysis {
 pub enum Value {
     /// A site count.
     Count(usize),
-    /// A symbolic cost bound.
-    Cost(Cost),
     /// Distinct nondeterminism sources reaching a sink (0 = clean).
     Taints(usize),
 }
@@ -78,18 +65,16 @@ impl Value {
     pub fn render(self) -> String {
         match self {
             Value::Count(n) => n.to_string(),
-            Value::Cost(c) => c.render(),
             Value::Taints(0) => "clean".to_owned(),
             Value::Taints(n) => format!("tainted:{n}"),
         }
     }
 
-    /// The JSON notation: counts as numbers, costs as strings.
+    /// The JSON notation: a number.
     #[must_use]
     pub fn json(self) -> String {
         match self {
             Value::Count(n) | Value::Taints(n) => n.to_string(),
-            Value::Cost(c) => format!("\"{}\"", c.render()),
         }
     }
 }
@@ -184,7 +169,6 @@ pub fn render(rows: &Rows) -> String {
          # Rows are `analysis<TAB>name<TAB>value<TAB>path`:\n\
          #   unwrap   unwrap-ratchet  .unwrap()/.expect( sites in library code\n\
          #   hot-path <rule>          alloc/panic sites reachable from hot-path roots\n\
-         #   wcet     <root>          symbolic cost O(n^d log^l n) of a hot-path root\n\
          #   det-flow <sink>          `clean` or `tainted:<N>` sources reaching a det-sink\n\
          # Regenerate deliberately with `cargo run -p hcperf-lint -- --update-baselines`.\n",
     );
@@ -251,12 +235,6 @@ mod tests {
         let all = rows(&[
             (Analysis::Unwrap, "unwrap-ratchet", Value::Count(3), "a.rs"),
             (Analysis::HotPath, "hot-path-alloc", Value::Count(7), "c.rs"),
-            (
-                Analysis::Wcet,
-                "Sim::try_dispatch",
-                Value::Cost(Cost::N_LOG_N),
-                "s.rs",
-            ),
             (Analysis::DetFlow, "out", Value::Taints(0), "p.rs"),
             (Analysis::DetFlow, "log", Value::Taints(2), "q.rs"),
         ]);
@@ -296,17 +274,17 @@ mod tests {
     fn comparison_splits_by_analysis() {
         let baseline = rows(&[
             (Analysis::Unwrap, "unwrap-ratchet", Value::Count(1), "a.rs"),
-            (Analysis::Wcet, "root", Value::Cost(Cost::LINEAR), "a.rs"),
+            (Analysis::HotPath, "hot-path-alloc", Value::Count(2), "a.rs"),
         ]);
         let current = rows(&[
             (Analysis::Unwrap, "unwrap-ratchet", Value::Count(2), "a.rs"),
-            (Analysis::Wcet, "root", Value::Cost(Cost::ONE), "a.rs"),
+            (Analysis::HotPath, "hot-path-alloc", Value::Count(1), "a.rs"),
         ]);
         let cmp = compare(&current, &baseline);
         assert_eq!(cmp.of(Analysis::Unwrap).growth.len(), 1);
         assert!(cmp.of(Analysis::Unwrap).shrink.is_empty());
-        assert!(cmp.of(Analysis::Wcet).growth.is_empty());
-        assert_eq!(cmp.of(Analysis::Wcet).shrink.len(), 1);
+        assert!(cmp.of(Analysis::HotPath).growth.is_empty());
+        assert_eq!(cmp.of(Analysis::HotPath).shrink.len(), 1);
         assert!(cmp.of(Analysis::DetFlow).growth.is_empty());
     }
 }

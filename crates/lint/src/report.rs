@@ -10,8 +10,9 @@ use crate::workspace::SourceFile;
 /// consumer-visible key is added, removed, or retyped. Version 2 added
 /// the `det_flow` section and structured `chain` arrays on findings;
 /// version 3 made the report one document with every section, each with
-/// its own findings, ratchet deltas and exit code.
-pub const SCHEMA_VERSION: u32 = 3;
+/// its own findings, ratchet deltas and exit code; version 4 dropped the
+/// `eq_coverage` and `wcet` sections.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Process exit codes, one per failure class so CI logs are unambiguous.
 pub mod exit {
@@ -61,18 +62,9 @@ pub enum Rule {
     /// A panic source (`unwrap`, `panic!`, slice indexing) in
     /// hot-path-reachable code.
     HotPathPanic,
-    /// A paper equation (Eq. 2–12) missing an implementation or test tag,
-    /// or an `Eq. N` tag naming an equation the paper does not define.
-    EqCoverage,
-    /// A hot-path-reachable loop with no visible bound; a waiver asserts
-    /// one, and the loop then counts as input-bounded.
-    WcetUnbounded,
     /// Blocking (I/O, locks, channel `recv`, sleep, printing) in
     /// hot-path-reachable code: unbounded latency.
     HotPathBlocking,
-    /// A root's cost certificate grew past its `wcet` ratchet row. Not
-    /// waivable: re-record deliberately via `--update-baselines`.
-    WcetCert,
     /// A nondeterminism source flows into a `det-sink` past its `det-flow`
     /// ratchet row. Waivable at the source; carries the call chain.
     DetFlow,
@@ -83,7 +75,7 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 14] = [
+    pub const ALL: [Rule; 11] = [
         Rule::WallClock,
         Rule::UnorderedIteration,
         Rule::Entropy,
@@ -92,10 +84,7 @@ impl Rule {
         Rule::WaiverSyntax,
         Rule::HotPathAlloc,
         Rule::HotPathPanic,
-        Rule::EqCoverage,
-        Rule::WcetUnbounded,
         Rule::HotPathBlocking,
-        Rule::WcetCert,
         Rule::DetFlow,
         Rule::DetSink,
     ];
@@ -112,10 +101,7 @@ impl Rule {
             Rule::WaiverSyntax => "waiver-syntax",
             Rule::HotPathAlloc => "hot-path-alloc",
             Rule::HotPathPanic => "hot-path-panic",
-            Rule::EqCoverage => "eq-coverage",
-            Rule::WcetUnbounded => "wcet-unbounded",
             Rule::HotPathBlocking => "hot-path-blocking",
-            Rule::WcetCert => "wcet-cert",
             Rule::DetFlow => "det-flow",
             Rule::DetSink => "det-sink",
         }
@@ -128,13 +114,13 @@ impl Rule {
     }
 
     /// True for rules whose unwaived findings only ever report ratchet
-    /// growth (a grown hot-path row's sites, a grown certificate); every
+    /// growth (a grown hot-path row's sites, a tainted sink); every
     /// other unwaived finding fails its section on its own.
     #[must_use]
     pub fn reports_growth(self) -> bool {
         matches!(
             self,
-            Rule::HotPathAlloc | Rule::HotPathPanic | Rule::WcetCert | Rule::DetFlow
+            Rule::HotPathAlloc | Rule::HotPathPanic | Rule::DetFlow
         )
     }
 }

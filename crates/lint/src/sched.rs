@@ -12,10 +12,6 @@
 //!   system, with the paper-literal `dps::reference::gamma_max` oracle in
 //!   strict mode (the relaxed default drops doomed jobs and so can never
 //!   report overload).
-//! * **Kernels** — each target's Eq. 9 budget is only meaningful if the
-//!   kernels that spend it have bounded cost: [`kernel_gaps`] requires a
-//!   bounded certificate from the same run's WCET analysis for every
-//!   kernel in [`kernel_roots`] (`sched-wcet`).
 //!
 //! Transient overload *inside* a scenario (obstacle spikes, fusion regime
 //! steps) is the experiment itself, so the worst sampled transient margin
@@ -31,7 +27,6 @@ use hcperf_taskgraph::graphs::{apollo_graph, motivation_graph, GraphOptions};
 use hcperf_taskgraph::{ExecContext, GraphError, LoadProfile, SimSpan, SimTime, TaskGraph};
 
 use crate::report::{exit, json_escape, json_opt_f64, tagged_finding_json, Section};
-use crate::wcet::{CertRow, Cost};
 
 /// One graph/preset to audit.
 #[derive(Debug)]
@@ -274,72 +269,6 @@ pub fn audit_all() -> Vec<AuditResult> {
     builtin_targets().iter().map(audit).collect()
 }
 
-/// The scheduler kernels whose certified WCET backs a target's Eq. 9
-/// budget. Every target dispatches through the simulator and is decided
-/// by the reference γ oracle; `scenario::*` presets additionally run the
-/// production DPS path (incremental γ search) and the
-/// performance-directed coordination step each period.
-#[must_use]
-pub fn kernel_roots(target_name: &str) -> Vec<&'static str> {
-    let mut roots = vec!["gamma_max", "Sim::try_dispatch"];
-    if target_name.starts_with("scenario::") {
-        roots.extend([
-            "GammaScratch::rank",
-            "GammaScratch::feasible",
-            "DynamicPriorityScheduler::gamma_max_cached",
-            "PerformanceDirectedController::step",
-        ]);
-    }
-    roots
-}
-
-/// One Eq. 9 → kernel coverage gap: a kernel a target depends on whose
-/// WCET certificate is missing or unbounded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelGap {
-    /// Audit target name.
-    pub target: String,
-    /// Kernel root name from [`kernel_roots`].
-    pub kernel: String,
-    /// The certified cost; `None` when the kernel has no certificate.
-    pub cost: Option<Cost>,
-}
-
-/// Coverage check of audit targets against the run's WCET certificates.
-#[must_use]
-pub fn kernel_gaps(results: &[AuditResult], certs: &[CertRow]) -> Vec<KernelGap> {
-    let mut gaps = Vec::new();
-    for r in results {
-        for kernel in kernel_roots(&r.name) {
-            let cost = certs.iter().find(|c| c.name == kernel).map(|c| c.cost);
-            if cost.is_none_or(|c| c == Cost::Unbounded) {
-                gaps.push(KernelGap {
-                    target: r.name.clone(),
-                    kernel: kernel.to_owned(),
-                    cost,
-                });
-            }
-        }
-    }
-    gaps
-}
-
-fn gap_message(g: &KernelGap) -> String {
-    match g.cost {
-        None => format!(
-            "Eq. 9 budget relies on kernel `{}` which has no WCET certificate; mark it \
-             `hcperf-lint: hot-path-root`",
-            g.kernel,
-        ),
-        Some(c) => format!(
-            "Eq. 9 budget relies on kernel `{}` whose certified cost is {}; \
-             every budget-backing kernel must have a bounded certificate",
-            g.kernel,
-            c.render()
-        ),
-    }
-}
-
 /// Exit code for a set of audit results.
 #[must_use]
 pub fn exit_code(results: &[AuditResult]) -> i32 {
@@ -421,12 +350,10 @@ pub fn findings_json(results: &[AuditResult]) -> Vec<String> {
     out
 }
 
-/// The `schedulability` section: every builtin target audited, with
-/// its kernels checked against the run's WCET certificates.
+/// The `schedulability` section: every builtin target audited.
 #[must_use]
-pub fn section(certs: &[CertRow]) -> Section {
+pub fn section() -> Section {
     let results = audit_all();
-    let gaps = kernel_gaps(&results, certs);
     let rows: Vec<String> = results
         .iter()
         .map(|r| {
@@ -447,31 +374,14 @@ pub fn section(certs: &[CertRow]) -> Section {
     let mut section = Section::new("schedulability", Vec::new(), Vec::new(), None);
     section.tagged = findings_json(&results);
     section.lines = human_rows(&results);
-    for g in &gaps {
-        let message = gap_message(g);
-        section.tagged.push(tagged_finding_json(
-            "sched-wcet",
-            "error",
-            &g.target,
-            &message,
-        ));
-        section
-            .lines
-            .push(format!("FAIL {} — [sched-wcet] {message}", g.target));
-    }
     let failed = results.iter().filter(|r| !r.ok()).count();
     section.lines.push(format!(
-        "hcperf-lint schedulability: {}/{} targets feasible, {} kernel gaps",
+        "hcperf-lint schedulability: {}/{} targets feasible",
         results.len() - failed,
         results.len(),
-        gaps.len(),
     ));
     section.json = vec![format!("\"targets\":[{}]", rows.join(","))];
-    section.exit_code = if gaps.is_empty() {
-        exit_code(&results)
-    } else {
-        exit::SCHEDULABILITY
-    };
+    section.exit_code = exit_code(&results);
     section
 }
 
@@ -543,54 +453,6 @@ mod tests {
         assert!(findings[2].contains("\"rule\":\"sched-eq9-transient\""));
         assert!(findings[2].contains("\"severity\":\"info\""));
         assert_eq!(exit_code(&[r]), exit::SCHEDULABILITY);
-    }
-
-    #[test]
-    fn kernel_gaps_flag_missing_and_unbounded_certificates() {
-        let results = audit_all();
-        // A full bounded certificate set covers everything.
-        let cert = |name: &str, cost: Cost| CertRow {
-            name: name.to_owned(),
-            path: "x.rs".to_owned(),
-            cost,
-            witness: None,
-        };
-        let mut certs: Vec<CertRow> = [
-            "gamma_max",
-            "Sim::try_dispatch",
-            "GammaScratch::rank",
-            "GammaScratch::feasible",
-            "DynamicPriorityScheduler::gamma_max_cached",
-            "PerformanceDirectedController::step",
-        ]
-        .into_iter()
-        .map(|name| cert(name, Cost::N_LOG_N))
-        .collect();
-        assert!(kernel_gaps(&results, &certs).is_empty());
-        assert_eq!(section(&certs).exit_code, exit::CLEAN);
-
-        // Removing the DPS kernel breaks every scenario::* target but not
-        // the bare graphs (they only use the reference oracle + dispatch).
-        certs.retain(|c| c.name != "GammaScratch::rank");
-        let gaps = kernel_gaps(&results, &certs);
-        assert_eq!(gaps.len(), 5, "{gaps:?}");
-        assert!(gaps.iter().all(|g| g.kernel == "GammaScratch::rank"));
-        assert!(gaps.iter().all(|g| g.target.starts_with("scenario::")));
-
-        // An unbounded certificate is as bad as a missing one.
-        certs.push(cert("GammaScratch::rank", Cost::Unbounded));
-        let gaps = kernel_gaps(&results, &certs);
-        assert_eq!(gaps.len(), 5);
-        assert_eq!(gaps[0].cost, Some(Cost::Unbounded));
-        let s = section(&certs);
-        assert_eq!(s.exit_code, exit::SCHEDULABILITY);
-        let gap_json: Vec<&String> = s
-            .tagged
-            .iter()
-            .filter(|f| f.contains("sched-wcet"))
-            .collect();
-        assert_eq!(gap_json.len(), 5);
-        assert!(gap_json[0].contains("\"severity\":\"error\""));
     }
 
     #[test]

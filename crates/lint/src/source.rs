@@ -5,11 +5,6 @@
 //! literals, `#[cfg(test)] mod` regions) to blank out every byte that rule
 //! patterns must not match. Blanked bytes become spaces so byte offsets —
 //! and therefore line numbers — stay exact.
-//!
-//! Besides waivers, two more outputs feed the semantic pass:
-//! comment byte spans (where `Eq. N` tags live, harvested by
-//! [`crate::eqcov`]) and `#[cfg(test)]`-module byte regions (so tags inside
-//! unit-test modules classify as test coverage, not implementation).
 
 use crate::report::Rule;
 
@@ -62,11 +57,6 @@ pub struct MaskedFile {
     /// each declares the next `fn` item a hot-path root (see
     /// [`crate::hotpath`]).
     pub hot_path_roots: Vec<usize>,
-    /// Byte spans of every comment (line, block, and doc) in the original
-    /// source, in order. `Eq. N` tags are harvested from these.
-    pub comment_spans: Vec<(usize, usize)>,
-    /// Byte regions blanked as `#[cfg(…test…)] mod … { … }` test modules.
-    pub test_regions: Vec<(usize, usize)>,
     /// `(line, name)` pairs for `// hcperf-lint: det-sink(<name>)` markers;
     /// each declares the next `fn` item a determinism output sink (see
     /// [`crate::detflow`]).
@@ -167,13 +157,11 @@ pub fn mask(source: &str) -> MaskedFile {
     let mut hot_path_roots = Vec::new();
     let mut det_sinks = Vec::new();
     let mut det_sanitizers = Vec::new();
-    let mut comment_spans = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
             b'/' if bytes.get(i + 1) == Some(&b'/') => {
                 let end = line_end(bytes, i);
-                comment_spans.push((i, end));
                 // Doc comments (`///`, `//!`) are prose, not directives:
                 // they may legitimately *mention* the waiver syntax.
                 let doc = matches!(bytes.get(i + 2), Some(&b'/') | Some(&b'!'));
@@ -193,7 +181,6 @@ pub fn mask(source: &str) -> MaskedFile {
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
                 let end = block_comment_end(bytes, i);
-                comment_spans.push((i, end));
                 blank(&mut out, i, end);
                 i = end;
             }
@@ -229,14 +216,12 @@ pub fn mask(source: &str) -> MaskedFile {
             _ => i += 1,
         }
     }
-    let test_regions = mask_test_modules(&mut out);
+    mask_test_modules(&mut out);
     MaskedFile {
         masked: String::from_utf8(out).expect("masking only writes ASCII spaces"),
         lines,
         waivers,
         hot_path_roots,
-        comment_spans,
-        test_regions,
         det_sinks,
         det_sanitizers,
     }
@@ -361,9 +346,8 @@ fn char_literal_end(bytes: &[u8], open: usize) -> Option<usize> {
 /// freely. The attribute is parsed tolerantly: `#[cfg(test)]`,
 /// `#[ cfg ( test ) ]`, and `#[cfg(all(test, feature = "…"))]` all mask,
 /// while `#[cfg(not(test))]` and `#[cfg(any(test, …))]` (both compiled
-/// outside test builds) do not. Returns the blanked byte regions.
-fn mask_test_modules(out: &mut [u8]) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
+/// outside test builds) do not.
+fn mask_test_modules(out: &mut [u8]) {
     let mut from = 0;
     while let Some(pos) = find_byte(out, b'#', from) {
         from = pos + 1;
@@ -426,10 +410,8 @@ fn mask_test_modules(out: &mut [u8]) -> Vec<(usize, usize)> {
         }
         let end = (j + 1).min(out.len());
         blank(out, pos, end);
-        regions.push((pos, end));
         from = end;
     }
-    regions
 }
 
 /// If a `#[cfg(PRED)]` attribute whose predicate is test-gated starts at
@@ -740,7 +722,6 @@ mod tests {
         for src in hits {
             let m = mask(src);
             assert!(!m.masked.contains("HashMap"), "should mask: {src}");
-            assert_eq!(m.test_regions.len(), 1, "{src}");
         }
     }
 
@@ -756,7 +737,6 @@ mod tests {
         for src in misses {
             let m = mask(src);
             assert!(m.masked.contains("HashMap"), "must NOT mask: {src}");
-            assert!(m.test_regions.is_empty(), "{src}");
         }
     }
 
@@ -810,15 +790,5 @@ fn collect_ordered() {}
         assert_eq!(m.waivers.len(), 1);
         assert_eq!(m.waivers[0].rule, None);
         assert!(m.hot_path_roots.is_empty());
-    }
-
-    #[test]
-    fn comment_spans_cover_doc_and_block_comments() {
-        let src = "/// Eq. 6 quadrature.\nfn f() { /* Eq. 9 */ }\n// tail\n";
-        let m = mask(src);
-        assert_eq!(m.comment_spans.len(), 3);
-        let texts: Vec<&str> = m.comment_spans.iter().map(|&(a, b)| &src[a..b]).collect();
-        assert_eq!(texts[0], "/// Eq. 6 quadrature.");
-        assert_eq!(texts[1], "/* Eq. 9 */");
     }
 }

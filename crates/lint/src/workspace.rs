@@ -13,8 +13,8 @@ use crate::rules::RuleSet;
 use crate::source::{mask, MaskedFile};
 
 /// Crates whose simulation results must be bit-reproducible: every rule
-/// family applies to their `src/` trees, and they form the hot-path and
-/// WCET call graph.
+/// family applies to their `src/` trees, and they form the hot-path call
+/// graph.
 pub const DETERMINISTIC_CRATES: [&str; 7] = [
     "crates/taskgraph/src",
     "crates/rtsim/src",
@@ -54,18 +54,6 @@ pub const EXTRA_ROOTS: [&str; 5] = [
     "src",
 ];
 
-/// Per-crate `tests/` trees and the umbrella integration tests, scanned
-/// for Eq. coverage test sites alongside `#[cfg(test)]` modules. Optional.
-pub const TEST_ROOTS: [&str; 7] = [
-    "crates/taskgraph/tests",
-    "crates/rtsim/tests",
-    "crates/control/tests",
-    "crates/vehicle/tests",
-    "crates/scenarios/tests",
-    "crates/core/tests",
-    "tests",
-];
-
 /// One loaded source file: raw text plus its masking and parse products.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -75,9 +63,9 @@ pub struct SourceFile {
     pub tree: &'static str,
     /// Raw file contents.
     pub raw: String,
-    /// Masked text, waivers, markers, comment spans, test regions.
+    /// Masked text, waivers and markers.
     pub masked: MaskedFile,
-    /// Items, call sites and loops; `None` outside the call-graph trees
+    /// Items and call sites; `None` outside the call-graph trees
     /// ([`DETERMINISTIC_CRATES`] and [`EXTRA_ROOTS`]).
     pub parsed: Option<ParsedFile>,
 }
@@ -126,22 +114,21 @@ impl SourceFile {
 }
 
 /// Loads every `.rs` file under the analysis trees, in tree order
-/// (deterministic crates first, then the wall-clock-only, ratchet-only,
-/// det-flow and test trees), each file once even when several analyses
-/// read its tree.
+/// (deterministic crates first, then the wall-clock-only, ratchet-only
+/// and det-flow trees), each file once even when several analyses read
+/// its tree.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures. A missing deterministic, wall-clock-only or
-/// ratchet-only tree is an error; the det-flow and test trees are
-/// optional.
+/// ratchet-only tree is an error; the det-flow trees are optional.
 pub fn load(root: &Path) -> io::Result<Vec<SourceFile>> {
     let required = DETERMINISTIC_CRATES
         .iter()
         .chain(&WALL_CLOCK_ONLY_ROOTS)
         .chain(&RATCHET_ONLY_ROOTS)
         .map(|t| (*t, true));
-    let optional = EXTRA_ROOTS.iter().chain(&TEST_ROOTS).map(|t| (*t, false));
+    let optional = EXTRA_ROOTS.iter().map(|t| (*t, false));
     let mut files: Vec<SourceFile> = Vec::new();
     let mut seen: Vec<&str> = Vec::new();
     for (tree, required) in required.chain(optional) {
@@ -188,7 +175,7 @@ fn rust_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
 }
 
 /// A call graph over a subset of the loaded files, with each node's file
-/// at hand. The hot-path/WCET scope is the deterministic crates; the
+/// at hand. The hot-path scope is the deterministic crates; the
 /// det-flow scope adds [`EXTRA_ROOTS`]. The scopes stay separate because
 /// name-based resolution over the union would add false hot-path edges.
 #[derive(Debug)]

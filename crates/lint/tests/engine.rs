@@ -105,42 +105,9 @@ fn malformed_waiver_fixture_is_flagged() {
 // Binary end-to-end: exit codes and --json shape on synthetic workspaces.
 // ---------------------------------------------------------------------------
 
-/// The scheduler kernels the schedulability audit needs certified, as
-/// hot-path roots in every fixture workspace.
-const KERNELS: [&str; 6] = [
-    "gamma_max",
-    "Sim::try_dispatch",
-    "GammaScratch::rank",
-    "GammaScratch::feasible",
-    "DynamicPriorityScheduler::gamma_max_cached",
-    "PerformanceDirectedController::step",
-];
-
-/// [`KERNELS`] as empty hot-path roots: a free fn, or a method in an
-/// impl block of its type.
-fn kernel_stubs() -> String {
-    let root = "// hcperf-lint: hot-path-root";
-    let stub = |k: &&str| match k.split_once("::") {
-        Some((ty, f)) => format!("impl {ty} {{\n{root}\npub fn {f}(&self) {{}}\n}}\n"),
-        None => format!("{root}\npub fn {k}() {{}}\n"),
-    };
-    KERNELS.iter().map(stub).collect()
-}
-
-/// Implementation and test tags for every required paper equation.
-const PAPER_TAGS: &str = "\
-//! Eq. 2–12 are implemented here.
-pub fn paper() {}
-#[cfg(test)]
-mod tests {
-    // Eq. 2–12 are tested here.
-}
-";
-
 /// Builds a minimal valid workspace the binary can scan: every required
-/// tree, the kernel stubs (certified O(1) in the ratchet file), and the
-/// Eq. 2–12 tags. `files` maps workspace-relative paths to contents;
-/// `ratchet` is appended to the kernel rows of `crates/lint/ratchet.txt`.
+/// tree with an empty `lib.rs`. `files` maps workspace-relative paths to
+/// contents; `ratchet` is the text of `crates/lint/ratchet.txt`.
 fn mini_workspace(tag: &str, files: &[(&str, &str)], ratchet: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("hcperf-lint-{}-{tag}", std::process::id()));
     if root.exists() {
@@ -151,20 +118,10 @@ fn mini_workspace(tag: &str, files: &[(&str, &str)], ratchet: &str) -> PathBuf {
         fs::create_dir_all(root.join(dir)).expect("mkdir");
         fs::write(root.join(dir).join("lib.rs"), "// empty\n").expect("seed lib.rs");
     }
-    let kernels = kernel_stubs();
-    let stubs = [
-        ("crates/core/src/kernels.rs", kernels.as_str()),
-        ("crates/core/src/paper.rs", PAPER_TAGS),
-    ];
-    for (rel, text) in stubs.iter().chain(files) {
+    for (rel, text) in files {
         fs::write(root.join(rel), text).expect("write fixture file");
     }
-    let mut rows: String = KERNELS
-        .iter()
-        .map(|k| format!("wcet\t{k}\tO(1)\tcrates/core/src/kernels.rs\n"))
-        .collect();
-    rows.push_str(ratchet);
-    fs::write(root.join("crates/lint/ratchet.txt"), rows).expect("write ratchet");
+    fs::write(root.join("crates/lint/ratchet.txt"), ratchet).expect("write ratchet");
     root
 }
 
@@ -200,14 +157,7 @@ fn lint_json(root: &Path, code: i32) -> serde_json::Value {
     parse_json(&lint(root, &["--json"], code))
 }
 
-const SECTIONS: [&str; 6] = [
-    "source",
-    "hot_path",
-    "eq_coverage",
-    "wcet",
-    "det_flow",
-    "schedulability",
-];
+const SECTIONS: [&str; 4] = ["source", "hot_path", "det_flow", "schedulability"];
 
 /// Each section's own exit code, in report order.
 fn section_codes(doc: &serde_json::Value) -> Vec<Option<f64>> {
@@ -226,7 +176,7 @@ fn binary_clean_workspace_exits_zero() {
     let root = mini_workspace("clean", &[], "");
     lint(&root, &[], exit::CLEAN);
     let doc = parse_json(&run_lint(&root, &["--json"]));
-    assert_eq!(section_codes(&doc), vec![code(exit::CLEAN); 6]);
+    assert_eq!(section_codes(&doc), vec![code(exit::CLEAN); 4]);
 }
 
 #[test]
@@ -240,7 +190,7 @@ fn binary_findings_exit_one_with_json_shape() {
         "",
     );
     let doc = lint_json(&root, exit::FINDINGS);
-    assert_eq!(doc["schema_version"].as_f64(), Some(3.0));
+    assert_eq!(doc["schema_version"].as_f64(), Some(4.0));
     assert_eq!(doc["exit_code"].as_f64(), code(exit::FINDINGS));
     // Every section is always present, each with its own exit code.
     let codes = section_codes(&doc);
@@ -349,14 +299,10 @@ fn binary_update_baselines_rejects_other_modes() {
 // Binary end-to-end: the call-graph-aware sections.
 // ---------------------------------------------------------------------------
 
-/// The declared roots of a report other than the fixture kernels.
-fn own_roots(doc: &serde_json::Value) -> Vec<&str> {
+/// The declared roots of a report.
+fn roots(doc: &serde_json::Value) -> Vec<&str> {
     let roots = arr(&doc["hot_path"]["roots"]);
-    roots
-        .iter()
-        .filter_map(|r| r.as_str())
-        .filter(|r| !KERNELS.contains(r))
-        .collect()
+    roots.iter().filter_map(|r| r.as_str()).collect()
 }
 
 #[test]
@@ -371,10 +317,10 @@ fn binary_hot_path_alloc_in_reachable_fn_fails_with_exact_line() {
              pub fn root_fn(n: usize) -> usize {\n    helper(n)\n}\n\
              fn helper(n: usize) -> usize {\n    let v = vec![0u8; n];\n    v.len()\n}\n",
         )],
-        "wcet\troot_fn\tO(1)\tcrates/core/src/hot.rs\n",
+        "",
     );
     let doc = lint_json(&root, exit::RATCHET);
-    assert_eq!(own_roots(&doc), vec!["root_fn"]);
+    assert_eq!(roots(&doc), vec!["root_fn"]);
     assert_eq!(doc["hot_path"]["exit_code"].as_f64(), code(exit::RATCHET));
     let findings = arr(&doc["hot_path"]["findings"]);
     let alloc: Vec<_> = findings
@@ -388,8 +334,8 @@ fn binary_hot_path_alloc_in_reachable_fn_fails_with_exact_line() {
 
 #[test]
 fn binary_hot_path_alloc_outside_reachable_set_is_ignored() {
-    // Same allocation, but no root marker on it: only the kernels are
-    // reachable, so the site does not count and the run is clean.
+    // Same allocation, but no root marker on it: nothing is reachable, so
+    // the site does not count and the run is clean.
     let root = mini_workspace(
         "hotpath-cold",
         &[(
@@ -399,160 +345,69 @@ fn binary_hot_path_alloc_outside_reachable_set_is_ignored() {
         "",
     );
     let doc = lint_json(&root, exit::CLEAN);
-    assert_eq!(
-        doc["hot_path"]["reachable_fns"].as_f64(),
-        Some(KERNELS.len() as f64)
-    );
-}
-
-#[test]
-fn binary_untested_eq_tag_fails_eq_coverage_with_exact_line() {
-    // Eq. 7 gets an impl site but no test anywhere in the mini workspace.
-    let root = mini_workspace(
-        "eqcov",
-        &[(
-            "crates/core/src/eq.rs",
-            "// plain comment\n// Eq. 7: discrete quadrature lives here.\npub fn q() {}\n",
-        )],
-        "",
-    );
-    fs::remove_file(root.join("crates/core/src/paper.rs")).expect("drop the Eq. 2-12 tags");
-    let doc = lint_json(&root, exit::FINDINGS);
-    assert_eq!(
-        doc["eq_coverage"]["exit_code"].as_f64(),
-        code(exit::FINDINGS)
-    );
-    let findings = arr(&doc["eq_coverage"]["findings"]);
-    assert!(
-        findings
-            .iter()
-            .all(|f| f["rule"].as_str() == Some("eq-coverage")),
-        "{findings:?}"
-    );
-    // The Eq. 7 finding anchors at the tag's exact location; the other
-    // required equations (no sites at all) are also reported.
-    let eq7: Vec<_> = findings
-        .iter()
-        .filter(|f| f["path"].as_str() == Some("crates/core/src/eq.rs"))
-        .collect();
-    assert_eq!(eq7.len(), 1, "{findings:?}");
-    assert_eq!(eq7[0]["line"].as_f64(), Some(2.0));
-    let msg = eq7[0]["message"].as_str().expect("message");
-    assert!(msg.contains("test"), "points at the missing test: {msg}");
-    assert!(findings.len() > 1, "untagged required equations also fail");
+    assert_eq!(doc["hot_path"]["reachable_fns"].as_f64(), Some(0.0));
 }
 
 #[test]
 fn binary_exit_code_follows_cross_section_precedence() {
-    // Hot-path growth (2) and an orphaned Eq. tag (1): findings win.
+    // Hot-path growth (2) and an unordered container (1): findings win.
     let files = [
         (
             "crates/core/src/hot.rs",
             "// hcperf-lint: hot-path-root\npub fn root_fn() -> Vec<u8> {\n    Vec::new()\n}\n",
         ),
         (
-            "crates/core/src/eq.rs",
-            "// Eq. 99 is not in the paper.\npub fn q() {}\n",
+            "crates/rtsim/src/bad.rs",
+            "use std::collections::HashMap;\npub fn q() {}\n",
         ),
     ];
-    let rows = "wcet\troot_fn\tO(1)\tcrates/core/src/hot.rs\n";
-    let root = mini_workspace("precedence", &files, rows);
+    let root = mini_workspace("precedence", &files, "");
     let doc = lint_json(&root, exit::FINDINGS);
     let codes = section_codes(&doc);
+    assert_eq!(codes[0], code(exit::FINDINGS), "source: {codes:?}");
     assert_eq!(codes[1], code(exit::RATCHET), "hot_path: {codes:?}");
-    assert_eq!(codes[2], code(exit::FINDINGS), "eq_coverage: {codes:?}");
     assert_eq!(doc["exit_code"].as_f64(), code(exit::FINDINGS));
-
-    // Without the kernel stubs the audit's Eq. 9 budgets lose their
-    // certificates: an infeasible-target failure outranks the rest.
-    fs::remove_file(root.join("crates/core/src/kernels.rs")).expect("drop kernels");
-    let doc = lint_json(&root, exit::SCHEDULABILITY);
-    let codes = section_codes(&doc);
-    assert_eq!(codes[5], code(exit::SCHEDULABILITY), "{codes:?}");
-    assert_eq!(codes[2], code(exit::FINDINGS), "{codes:?}");
-    let sched = arr(&doc["schedulability"]["findings"]);
-    assert!(
-        sched
-            .iter()
-            .any(|f| f["rule"].as_str() == Some("sched-wcet")),
-        "{sched:?}"
-    );
 }
 
-// ---------------------------------------------------------------------------
-// Binary end-to-end: WCET certificates and the ratchet.
-// ---------------------------------------------------------------------------
-
-/// A hot-path root whose dominant construct is the inner loop of an
-/// O(n^2) nest on line 5.
-const QUADRATIC_KERNEL: &str = "// hcperf-lint: hot-path-root\n\
-     pub fn kernel(xs: &[u64]) -> u64 {\n\
-    \x20   let mut acc = 0;\n\
-    \x20   for a in xs {\n\
-    \x20       for b in xs {\n\
-    \x20           acc = acc + a + b;\n\
-    \x20       }\n\
-    \x20   }\n\
-    \x20   acc\n\
-     }\n";
-
-/// The ratchet row that certifies [`QUADRATIC_KERNEL`] one degree too low.
-const STALE_CERT: &str = "wcet\tkernel\tO(n)\tcrates/core/src/hot.rs\n";
-
 #[test]
-fn binary_wcet_regression_trips_cert_ratchet_with_exact_line() {
-    // The certificate on disk promises O(n); the code regressed to an
-    // O(n^2) nest. The ratchet must fire and anchor the finding at the
-    // inner loop that raised the degree.
+fn binary_hot_path_blocking_fails_with_exact_line_and_annotation() {
+    // The channel wait sits in a helper the root calls: a finding of its own,
+    // not a ratchet row, so the section fails with exit 1.
     let root = mini_workspace(
-        "wcet-regress",
-        &[("crates/core/src/hot.rs", QUADRATIC_KERNEL)],
-        STALE_CERT,
+        "hotpath-blocking",
+        &[(
+            "crates/core/src/hot.rs",
+            "// hcperf-lint: hot-path-root\n\
+             pub fn root_fn() {\n    helper();\n}\n\
+             fn helper() {\n    let _ = INBOX.recv();\n}\n",
+        )],
+        "",
     );
-    let doc = lint_json(&root, exit::RATCHET);
-    let findings = arr(&doc["wcet"]["findings"]);
-    let cert: Vec<_> = findings
+    let doc = lint_json(&root, exit::FINDINGS);
+    let hot = &doc["hot_path"];
+    assert_eq!(hot["exit_code"].as_f64(), code(exit::FINDINGS));
+    assert!(arr(&hot["ratchet"]["growth"]).is_empty());
+    let findings = arr(&hot["findings"]);
+    let blocking: Vec<_> = findings
         .iter()
-        .filter(|f| f["rule"].as_str() == Some("wcet-cert"))
+        .filter(|f| f["rule"].as_str() == Some("hot-path-blocking"))
         .collect();
-    assert_eq!(cert.len(), 1, "{findings:?}");
-    assert_eq!(cert[0]["path"].as_str(), Some("crates/core/src/hot.rs"));
-    assert_eq!(cert[0]["line"].as_f64(), Some(5.0), "inner `for b` loop");
-    let msg = cert[0]["message"].as_str().expect("message");
-    assert!(msg.contains("O(n^2)") && msg.contains("O(n)"), "{msg}");
-    let growth = arr(&doc["wcet"]["ratchet"]["growth"]);
-    assert_eq!(growth.len(), 1, "{growth:?}");
+    assert_eq!(blocking.len(), 1, "{findings:?}");
+    assert_eq!(blocking[0]["line"].as_f64(), Some(6.0), "the recv's line");
 
-    // The same findings surface as GitHub annotation lines.
     let out = run_lint(&root, &["--annotations"]);
     let text = String::from_utf8(out.stdout.clone()).expect("utf8 stdout");
-    assert!(
-        text.contains("::error file=crates/core/src/hot.rs,line=5,title=hcperf-lint wcet-cert::"),
-        "{text}"
-    );
-}
+    let want = "::error file=crates/core/src/hot.rs,line=6,title=hcperf-lint hot-path-blocking::";
+    assert!(text.contains(want), "{text}");
 
-#[test]
-fn binary_update_baselines_clears_dirty_certificates_in_one_run() {
-    // Dirty ratchet -> exit 2; one --update-baselines run rewrites it;
-    // the follow-up run is clean again.
-    let root = mini_workspace(
-        "wcet-refresh",
-        &[("crates/core/src/hot.rs", QUADRATIC_KERNEL)],
-        STALE_CERT,
-    );
-    lint(&root, &[], exit::RATCHET);
-
-    lint(&root, &["--update-baselines"], exit::CLEAN);
-    let ratchet = fs::read_to_string(root.join("crates/lint/ratchet.txt")).expect("ratchet");
-    assert!(
-        ratchet.contains("wcet\tkernel\tO(n^2)\tcrates/core/src/hot.rs"),
-        "{ratchet}"
-    );
-
+    // A waiver with a reason demotes it, under the same syntax as ever.
+    let waived = "// hcperf-lint: hot-path-root\n\
+         pub fn root_fn() {\n    helper();\n}\n\
+         fn helper() {\n    // hcperf-lint: allow(hot-path-blocking): test pause\n    \
+         let _ = INBOX.recv();\n}\n";
+    fs::write(root.join("crates/core/src/hot.rs"), waived).expect("rewrite hot.rs");
     let doc = lint_json(&root, exit::CLEAN);
-    let growth = arr(&doc["wcet"]["ratchet"]["growth"]);
-    assert!(growth.is_empty(), "{growth:?}");
+    assert_eq!(arr(&doc["hot_path"]["waived"]).len(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -589,7 +444,7 @@ fn binary_det_flow_taint_through_helper_trips_ratchet_with_chain() {
     // the source section, and findings outrank the det-flow growth.
     let doc = lint_json(&root, exit::FINDINGS);
     assert_eq!(doc["source"]["exit_code"].as_f64(), code(exit::FINDINGS));
-    assert_eq!(doc["schema_version"].as_f64(), Some(3.0));
+    assert_eq!(doc["schema_version"].as_f64(), Some(4.0));
     let det = &doc["det_flow"];
     assert_eq!(det["exit_code"].as_f64(), code(exit::RATCHET));
     let sinks = arr(&det["sinks"]);
@@ -640,6 +495,31 @@ fn binary_det_flow_taint_through_helper_trips_ratchet_with_chain() {
         "{text}"
     );
     assert!(text.contains("flow: crates/core/src/flow.rs:3"), "{text}");
+}
+
+#[test]
+fn binary_update_baselines_clears_dirty_certificates_in_one_run() {
+    // The recorded certificate says the sink is clean; the code now
+    // taints it. In the harness tree no lexical source rule fires, so the
+    // certificate growth alone decides: exit 2. One --update-baselines
+    // run re-records it, and the follow-up run is clean again.
+    let root = mini_workspace(
+        "detflow-refresh",
+        &[("crates/harness/src/flow.rs", TAINTED_FLOW)],
+        "det-flow\ttest-out\tclean\tcrates/harness/src/flow.rs\n",
+    );
+    lint(&root, &[], exit::RATCHET);
+
+    lint(&root, &["--update-baselines"], exit::CLEAN);
+    let ratchet = fs::read_to_string(root.join("crates/lint/ratchet.txt")).expect("ratchet");
+    assert!(
+        ratchet.contains("det-flow\ttest-out\ttainted:1\tcrates/harness/src/flow.rs"),
+        "{ratchet}"
+    );
+
+    let doc = lint_json(&root, exit::CLEAN);
+    let growth = arr(&doc["det_flow"]["ratchet"]["growth"]);
+    assert!(growth.is_empty(), "{growth:?}");
 }
 
 #[test]
@@ -747,49 +627,21 @@ fn real_workspace_schedulability_audit_is_clean() {
     }
 }
 
-// The golden pin (`tests/golden.rs`) holds the exact roots, certificates,
-// sinks and equation rows; these tests check each section's invariants.
+// The golden pin (`tests/golden.rs`) holds the exact roots, sinks and
+// audit rows; these tests check each section's invariants.
 
 #[test]
-fn real_workspace_wcet_gives_every_root_a_bounded_certificate() {
-    let wcet = real_section("wcet");
-    // Every declared hot-path root carries a bounded (non-saturated)
-    // polynomial certificate.
-    let certs = arr(&wcet["certificates"]);
-    let roots = real_section("hot_path")["roots"].as_array().expect("roots");
-    assert_eq!(
-        certs.len(),
-        roots.len(),
-        "one certificate per root: {certs:?}"
-    );
-    assert_eq!(certs.len(), 7, "{certs:?}");
-    for c in certs {
-        let cost = c["cost"].as_str().expect("cost string");
-        assert!(cost.starts_with("O("), "unbounded: {c:?}");
-    }
-    assert_eq!(wcet["loops"]["unbounded"].as_f64(), Some(0.0));
-}
-
-#[test]
-fn real_workspace_hot_path_and_eq_coverage_are_clean() {
-    // The dispatch pipeline's seven roots are declared, and the
-    // over-approximate reachable set stays far from "everything".
+fn real_workspace_hot_path_is_clean() {
+    // The dispatch pipeline's seven roots are declared, the
+    // over-approximate reachable set stays far from "everything", and
+    // nothing reachable blocks.
     let hot = real_section("hot_path");
     assert_eq!(hot["roots"].as_array().map(Vec::len), Some(7), "{hot:?}");
     let reachable = hot["reachable_fns"].as_f64().expect("reachable count");
     assert!((7.0..400.0).contains(&reachable), "{reachable}");
-
-    // Every required equation (Eq. 2-12) has at least one impl and one test.
-    let eqs = real_section("eq_coverage")["equations"]
-        .as_array()
-        .expect("equations array");
-    for eq in 2..=12u32 {
-        let row = eqs
-            .iter()
-            .find(|e| e["eq"].as_f64() == Some(f64::from(eq)))
-            .unwrap_or_else(|| panic!("Eq. {eq} absent from report"));
-        assert_eq!(row["ok"].as_bool(), Some(true), "Eq. {eq}: {row:?}");
-    }
+    let blocking = |f: &&serde_json::Value| f["rule"].as_str() == Some("hot-path-blocking");
+    assert_eq!(arr(&hot["findings"]).iter().filter(blocking).count(), 0);
+    assert_eq!(arr(&hot["waived"]).iter().filter(blocking).count(), 0);
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Golden pin of what `hcperf-lint` reports on the real workspace, one
-//! section per analysis: the source rules, hot-path purity, Eq. coverage,
-//! WCET certificates, det-flow sinks and the schedulability audit.
+//! section per analysis: the source rules, hot-path purity, det-flow
+//! sinks and the schedulability audit.
 //!
 //! [`report`] runs the one `--json` pass; [`digest`] flattens the
 //! facts that matter into one line each (findings, waived sites, roots,
-//! reachable count, certificates, sinks, equation rows, audit targets)
+//! reachable count, sinks, audit targets)
 //! and the test compares that text with [`PINNED`]. A deliberate change
 //! to any of these facts updates [`PINNED`] in the same commit.
 
@@ -91,35 +91,6 @@ fn digest(doc: &Value) -> String {
     out.push(format!("hot-path reachable {}", s(&hot["reachable_fns"])));
     findings(&mut out, "hot-path", hot);
 
-    let eqs = &doc["eq_coverage"];
-    let required = items(&eqs["equations"])
-        .iter()
-        .filter(|e| (2..=12).contains(&e["eq"].as_u64().expect("eq number")));
-    out.extend(required.map(|e| {
-        format!(
-            "eq {}",
-            fields(e, &["eq", "impl_sites", "test_sites", "ok"])
-        )
-    }));
-    findings(&mut out, "eq-coverage", eqs);
-
-    let wcet = &doc["wcet"];
-    rows(
-        &mut out,
-        "wcet cert",
-        &wcet["certificates"],
-        &["root", "cost", "path"],
-    );
-    let loops = fields(
-        &wcet["loops"],
-        &["constant", "input_bounded", "waived", "unbounded"],
-    );
-    out.push(format!(
-        "wcet reachable={} {loops}",
-        s(&wcet["reachable_fns"])
-    ));
-    findings(&mut out, "wcet", wcet);
-
     let det = &doc["det_flow"];
     let keys = ["sink", "fn", "path", "line", "taints", "status"];
     rows(&mut out, "det-flow sink", &det["sinks"], &keys);
@@ -163,27 +134,6 @@ hot-path root gamma_max
 hot-path root PerformanceDirectedController::step
 hot-path reachable 140
 hot-path ratchet growth=0 shrink=0
-eq eq=2 impl_sites=2 test_sites=1 ok=true
-eq eq=3 impl_sites=4 test_sites=1 ok=true
-eq eq=4 impl_sites=2 test_sites=1 ok=true
-eq eq=5 impl_sites=4 test_sites=1 ok=true
-eq eq=6 impl_sites=4 test_sites=1 ok=true
-eq eq=7 impl_sites=1 test_sites=1 ok=true
-eq eq=8 impl_sites=1 test_sites=1 ok=true
-eq eq=9 impl_sites=1 test_sites=1 ok=true
-eq eq=10 impl_sites=5 test_sites=1 ok=true
-eq eq=11 impl_sites=9 test_sites=2 ok=true
-eq eq=12 impl_sites=4 test_sites=2 ok=true
-wcet cert root=DynamicPriorityScheduler::gamma_max_cached cost=O(n^3) path=crates/core/src/dps.rs
-wcet cert root=FifoScheduler::select cost=O(n) path=crates/rtsim/src/scheduler.rs
-wcet cert root=GammaScratch::feasible cost=O(n) path=crates/core/src/dps.rs
-wcet cert root=GammaScratch::rank cost=O(n^2) path=crates/core/src/dps.rs
-wcet cert root=PerformanceDirectedController::step cost=O(n) path=crates/core/src/pdc.rs
-wcet cert root=Sim::try_dispatch cost=O(n^5) path=crates/rtsim/src/sim.rs
-wcet cert root=gamma_max cost=O(n^3) path=crates/core/src/dps.rs
-wcet reachable=140 constant=0 input_bounded=23 waived=1 unbounded=0
-wcet waived wcet-unbounded crates/rtsim/src/sim.rs:811 (each pass either places a ready job on an idle core or exits; bounded by min(queue depth, processors) passes)
-wcet ratchet growth=0 shrink=0
 det-flow sink sink=cli-stdout fn=main path=crates/cli/src/bin/hcperf.rs line=6 taints=0 status=clean
 det-flow sink sink=fig04-stdout fn=main path=crates/bench/src/bin/fig04_motivation.rs line=3 taints=0 status=clean
 det-flow sink sink=fig13-stdout fn=main path=crates/bench/src/bin/fig13_car_following.rs line=3 taints=0 status=clean
@@ -193,7 +143,7 @@ det-flow sink sink=fig18-stdout fn=main path=crates/bench/src/bin/fig18_ablation
 det-flow sink sink=fleet-jsonl fn=FleetSink::record path=crates/scenarios/src/fleet.rs line=379 taints=0 status=clean
 det-flow sink sink=harness-jsonl fn=JsonlSink::record path=crates/harness/src/sink.rs line=128 taints=0 status=clean
 det-flow sink sink=seed-derivation fn=derive_seed path=crates/harness/src/seed.rs line=43 taints=0 status=clean
-det-flow sink sink=store-append fn=Store::append path=crates/store/src/store.rs line=280 taints=0 status=clean
+det-flow sink sink=store-append fn=Store::append path=crates/store/src/store.rs line=284 taints=0 status=clean
 det-flow sink sink=store-cell-id fn=cell_id path=crates/store/src/hash.rs line=58 taints=0 status=clean
 det-flow sink sink=store-fingerprint fn=fingerprint path=crates/store/src/hash.rs line=42 taints=0 status=clean
 det-flow flows 0

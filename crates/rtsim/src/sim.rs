@@ -807,8 +807,9 @@ impl<S: Scheduler> Sim<S> {
                 (run.finish - self.now).clamp_non_negative()
             }));
         }
-        // hcperf-lint: allow(wcet-unbounded): each pass either places a ready job on an idle core or exits; bounded by min(queue depth, processors) passes
-        loop {
+        // Each pass either fills a previously idle core or ends the loop,
+        // so `processors + 1` passes always suffice.
+        for _ in 0..=self.config.processors {
             let mut made_progress = false;
             for processor in 0..self.config.processors {
                 if self.running[processor].is_some() || self.ready.is_empty() {

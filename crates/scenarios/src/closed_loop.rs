@@ -111,6 +111,19 @@ pub fn check_positive(name: &'static str, value: f64) -> Result<(), ScenarioErro
 /// instead of asking for that memory.
 pub(crate) const MAX_LOOP_STEPS: usize = 10_000_000;
 
+/// Refuses a horizon of more than [`MAX_LOOP_STEPS`] steps of `dt`.
+pub(crate) fn check_loop_steps(duration: f64, dt: f64) -> Result<(), ScenarioError> {
+    if duration / dt > MAX_LOOP_STEPS as f64 {
+        let need = "at most 10^7 physics steps (duration / physics_dt)";
+        return Err(ScenarioError::InvalidParameter {
+            name: "duration",
+            value: duration,
+            need,
+        });
+    }
+    Ok(())
+}
+
 /// One vehicle's simulator, coordinator and sensing history.
 #[derive(Debug)]
 pub(crate) struct ClosedLoop<'a, S> {
@@ -138,14 +151,7 @@ impl<'a, S: Copy> ClosedLoop<'a, S> {
         let (dt, period) = (spec.physics_dt, spec.control_period);
         check_positive("duration", spec.duration)?;
         check_positive("physics_dt", dt)?;
-        if spec.duration / dt > MAX_LOOP_STEPS as f64 {
-            let need = "at most 10^7 physics steps (duration / physics_dt)";
-            return Err(ScenarioError::InvalidParameter {
-                name: "duration",
-                value: spec.duration,
-                need,
-            });
-        }
+        check_loop_steps(spec.duration, dt)?;
         if !(period.is_finite() && period >= dt) {
             let need = "a finite value >= physics_dt";
             return Err(ScenarioError::InvalidParameter {

@@ -37,7 +37,7 @@ use hcperf_rtsim::percentile;
 use hcperf_taskgraph::{GraphError, TaskGraph};
 
 use crate::car_following::{run_car_following_on, CarFollowingConfig, ScenarioError};
-use crate::closed_loop::check_positive;
+use crate::closed_loop::{check_loop_steps, check_positive};
 use crate::lane_keeping::{run_lane_keeping_on, LaneKeepingConfig};
 
 /// Which per-vehicle scenario the fleet runs.
@@ -437,15 +437,20 @@ impl RecordSink<Result<VehicleRecord, String>> for FleetSink<'_> {
     }
 }
 
-/// The task graph every vehicle of the fleet runs: the preset's scenario
-/// graph under the fleet's scheme. Only per-vehicle fields (seed,
-/// horizon, warm-up, series recording, faults) differ between vehicles,
-/// and none of them enters the graph, so one build serves the fleet.
-fn fleet_graph(config: &FleetConfig) -> Result<TaskGraph, GraphError> {
+/// The task graph and physics step every vehicle of the fleet runs: the
+/// preset's scenario under the fleet's scheme. Only per-vehicle fields
+/// (seed, horizon, warm-up, series recording, faults) differ between
+/// vehicles, and none of them enters the graph, so one build serves the
+/// fleet.
+fn fleet_preset(config: &FleetConfig) -> (Result<TaskGraph, GraphError>, f64) {
+    let car = |c: CarFollowingConfig| (c.graph(), c.physics_dt);
     match config.preset {
-        FleetPreset::CarFollowing => CarFollowingConfig::paper_simulation(config.scheme).graph(),
-        FleetPreset::CarFollowingHardware => CarFollowingConfig::hardware(config.scheme).graph(),
-        FleetPreset::LaneKeeping => LaneKeepingConfig::paper_loop(config.scheme).graph(),
+        FleetPreset::CarFollowing => car(CarFollowingConfig::paper_simulation(config.scheme)),
+        FleetPreset::CarFollowingHardware => car(CarFollowingConfig::hardware(config.scheme)),
+        FleetPreset::LaneKeeping => {
+            let c = LaneKeepingConfig::paper_loop(config.scheme);
+            (c.graph(), c.physics_dt)
+        }
     }
 }
 
@@ -460,7 +465,8 @@ fn fleet_graph(config: &FleetConfig) -> Result<TaskGraph, GraphError> {
 /// # Errors
 ///
 /// [`ScenarioError::InvalidParameter`] for an empty fleet or a
-/// non-finite or non-positive duration, before any vehicle runs;
+/// non-finite, non-positive or over-long duration (more physics steps
+/// than one closed loop runs), before any vehicle runs;
 /// [`ScenarioError::Job`] if the harness loses a worker,
 /// [`ScenarioError::Sink`] if writing the stream fails. Per-vehicle
 /// simulation failures do **not** error the run — they are `"ok":false`
@@ -490,6 +496,8 @@ pub fn run_fleet_with_cache(
 ) -> Result<FleetSummary, ScenarioError> {
     check_positive("vehicles", config.vehicles as f64)?;
     check_positive("duration", config.duration)?;
+    let (graph, dt) = fleet_preset(config);
+    check_loop_steps(config.duration, dt)?;
     if !config.faults.is_empty() && config.preset == FleetPreset::LaneKeeping {
         return Err(ScenarioError::Job(
             "fault plans are not supported for the lane-keeping preset".to_string(),
@@ -497,7 +505,7 @@ pub fn run_fleet_with_cache(
     }
     // One graph for the whole fleet, shared by reference. A fault plan's
     // task names are validated against it before any vehicle simulates.
-    let graph = Arc::new(fleet_graph(config)?);
+    let graph = Arc::new(graph?);
     if !config.faults.is_empty() {
         config
             .faults

@@ -62,6 +62,9 @@ pub enum StoreError {
     /// An op that violates the cell lifecycle (e.g. completing a cell
     /// that was never registered), or a cell-id/key mismatch.
     Lifecycle(String),
+    /// A completion whose `wall_ms` is NaN or infinite, refused before
+    /// anything is appended: replay could not read it back.
+    NonFiniteWallMs(f64),
 }
 
 impl fmt::Display for StoreError {
@@ -71,6 +74,7 @@ impl fmt::Display for StoreError {
                 write!(f, "store I/O error on {}: {source}", path.display())
             }
             StoreError::Lifecycle(msg) => write!(f, "store lifecycle error: {msg}"),
+            StoreError::NonFiniteWallMs(ms) => write!(f, "store refuses wall_ms {ms}"),
         }
     }
 }
@@ -79,7 +83,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io { source, .. } => Some(source),
-            StoreError::Lifecycle(_) => None,
+            StoreError::Lifecycle(_) | StoreError::NonFiniteWallMs(_) => None,
         }
     }
 }
@@ -376,7 +380,8 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Fails on unregistered cells and on append I/O failures.
+    /// Fails on unregistered cells, on a non-finite `wall_ms` and on
+    /// append I/O failures.
     pub fn complete(&mut self, id: &str, wall_ms: f64, payload: &str) -> Result<(), StoreError> {
         self.complete_with_attempts(id, wall_ms, payload, 1)
     }
@@ -387,7 +392,8 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Fails on unregistered cells and on append I/O failures.
+    /// Fails on unregistered cells, on a non-finite `wall_ms` and on
+    /// append I/O failures.
     pub fn complete_with_attempts(
         &mut self,
         id: &str,
@@ -395,6 +401,9 @@ impl Store {
         payload: &str,
         attempts: u32,
     ) -> Result<(), StoreError> {
+        if !wall_ms.is_finite() {
+            return Err(StoreError::NonFiniteWallMs(wall_ms));
+        }
         let Some(cell) = self.cells.get_mut(id) else {
             return Err(StoreError::Lifecycle(format!(
                 "cell {id} completed but was never registered"
@@ -743,6 +752,33 @@ mod tests {
         assert!(matches!(
             store.register("deadbeef", "cell/b"),
             Err(StoreError::Lifecycle(_))
+        ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn non_finite_wall_ms_is_refused_before_the_log_sees_it() {
+        let path = tmp("nan-wall");
+        let mut store = Store::open(&path).unwrap();
+        store.register("0a", "cell/a").unwrap();
+        store.register("0b", "cell/b").unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                store.complete("0a", bad, "1"),
+                Err(StoreError::NonFiniteWallMs(_))
+            ));
+        }
+        store.complete("0b", 2.5, "2").unwrap();
+        store.sync().unwrap();
+        drop(store);
+        // Reopening replays every record: nothing is quarantined, `a`
+        // is still pending and `b` kept its result.
+        let store = Store::open(&path).unwrap();
+        assert_eq!(store.quarantined_bytes(), 0);
+        assert_eq!(store.lookup("0a").unwrap().state, CellState::Pending);
+        assert!(matches!(
+            store.lookup("0b").unwrap().state,
+            CellState::Done { wall_ms, .. } if wall_ms == 2.5
         ));
         let _ = std::fs::remove_file(&path);
     }
